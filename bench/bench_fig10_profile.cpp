@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
                        /*gate=*/!paper);
 
   // Mixed-precision profile: the two fp32-eligible stages (CLS cluster
-  // products, WRP seed walks) timed against their fp64 twins on the same
+  // products, WRP panel walks) timed against their fp64 twins on the same
   // matrix.  BSOFI always runs fp64, so the shared reduced inverse is
   // computed once outside both timed regions; best-of-3 on each side
   // because the gate is a single-host back-to-back ratio.
@@ -224,7 +224,7 @@ int main(int argc, char** argv) {
       t.reset();
       auto reduced_f = selinv::cluster_mixed(m, c, 1, true);
       for (const auto pat : pats)
-        selinv::wrap_f(ops_f, gtilde_f, pat, sel, true);
+        selinv::wrap(ops_f, gtilde_f, pat, sel, true);
       t32 = rep == 0 ? t.seconds() : std::min(t32, t.seconds());
     }
     const double mixed_speedup = t64 / t32;

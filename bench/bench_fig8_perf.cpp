@@ -14,7 +14,7 @@
 ///   ./bench_fig8_perf [--paper|--quick] [--L 100] [--c 10] [--trace]
 ///                     [--no-trace] [--no-health] [--health-sample N]
 ///
-/// With --trace (or FSI_TRACE=1) every FSI stage and per-cluster/per-seed
+/// With --trace (or FSI_TRACE=1) every FSI stage and per-cluster/per-panel
 /// iteration is recorded and exported as bench_fig8_perf.trace.json.
 /// Always writes BENCH_bench_fig8_perf.json telemetry; CI regression-gates
 /// on the machine-stable `fsi_efficiency_vs_dgemm` ratio.

@@ -5,12 +5,15 @@
 /// Every bench binary regenerates one table or figure of the paper (see
 /// DESIGN.md experiment index) and prints the measured series side by side
 /// with the paper's expected shape.  Values derived from the analytic
-/// scaling model (this host has a single CPU core — see perfmodel.hpp) are
-/// explicitly labelled "modeled".
+/// scaling model (for thread and node counts beyond the host's — see
+/// perfmodel.hpp) are explicitly labelled "modeled".
+
+#include <omp.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <thread>
 
 #include "fsi/dense/blas.hpp"
 #include "fsi/obs/health.hpp"
@@ -174,9 +177,10 @@ inline void print_header(const char* figure, const char* claim) {
 
 inline void print_host_note() {
   std::printf(
-      "[host note] this machine exposes 1 CPU core; multi-thread/multi-node\n"
-      "rows marked 'modeled' use the calibrated scaling model of\n"
-      "fsi/selinv/perfmodel.hpp (see DESIGN.md, substitutions).\n\n");
+      "[host note] this machine exposes %u hardware threads; OpenMP runs up\n"
+      "to %d threads.  Rows marked 'modeled' use the calibrated scaling\n"
+      "model of fsi/selinv/perfmodel.hpp (see DESIGN.md, substitutions).\n\n",
+      std::thread::hardware_concurrency(), omp_get_max_threads());
 }
 
 }  // namespace fsi::bench

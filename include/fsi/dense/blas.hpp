@@ -17,6 +17,8 @@
 /// templates; they exist because template argument deduction ignores the
 /// implicit Matrix -> view conversions the call sites rely on.
 
+#include <omp.h>
+
 #include "fsi/dense/matrix.hpp"
 
 namespace fsi::dense {
@@ -136,5 +138,21 @@ inline void trtri(Uplo uplo, Diag diag, MatrixViewF a) {
 /// Threshold (in flops) below which kernels stay single-threaded.  Exposed so
 /// benches/tests can exercise both paths.
 inline constexpr std::size_t kParallelFlopThreshold = 1u << 21;
+
+/// Runs the dense kernels called in its scope on the calling thread alone:
+/// sets the thread's OpenMP team size to 1 and restores it on exit.
+/// Coarse-parallel callers hold one around each work unit, so a kernel
+/// past kParallelFlopThreshold never opens its own team inside work that
+/// already fills the cores.
+class SerialKernels {
+ public:
+  SerialKernels() : saved_(omp_get_max_threads()) { omp_set_num_threads(1); }
+  ~SerialKernels() { omp_set_num_threads(saved_); }
+  SerialKernels(const SerialKernels&) = delete;
+  SerialKernels& operator=(const SerialKernels&) = delete;
+
+ private:
+  int saved_;
+};
 
 }  // namespace fsi::dense

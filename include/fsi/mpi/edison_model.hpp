@@ -34,7 +34,7 @@ struct EdisonNode {
 
 /// Estimated bytes one MPI rank needs to run FSI on one Hubbard matrix with
 /// the given shape: B blocks (L N^2), the reduced matrix (b N^2), the dense
-/// reduced inverse ((bN)^2), the LU factors for the wrapping moves (L N^2)
+/// reduced inverse ((bN)^2), the explicit B^-1 for the wrapping moves (L N^2)
 /// and the selected inversion itself (the dominant term: bL N^2 for block
 /// columns — 2.65 GB at (N, L, c) = (576, 100, 10), matching the paper).
 std::size_t fsi_rank_bytes(dense::index_t n, dense::index_t l, dense::index_t c,

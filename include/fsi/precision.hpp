@@ -10,7 +10,7 @@
 ///           against.
 ///   Mixed — the error-tolerant stages run in fp32: CLS cluster products
 ///           multiply demoted B blocks and promote each product to fp64,
-///           and the WRP seed walks move demoted blocks through fp32
+///           and the WRP panel walks move demoted blocks through fp32
 ///           adjacency relations, promoting every stored block.  BSOFI —
 ///           the stability-critical stage the paper's accuracy claim rests
 ///           on — always stays fp64.  Every mixed run is health-gated

@@ -40,9 +40,9 @@ enum class Granularity {
   Auto,    ///< Fine when the FSI_EXEC env flag (default on) allows it
   Coarse,  ///< one unit per matrix: mini-MPI ranks + BatchScheduler (Alg. 3)
   Fine,    ///< one unit per FSI stage node: matrix assembly, each cluster
-           ///< product, BSOFI and each seed walk become task-graph nodes on
-           ///< the persistent executor pool, so a straggler matrix's b^2
-           ///< seed walks are stolen by idle workers.  Shared-memory only
+           ///< product, BSOFI and each panel walk become task-graph nodes on
+           ///< the persistent executor pool, so a straggler matrix's
+           ///< panel walks are stolen by idle workers.  Shared-memory only
            ///< (no mini-MPI messaging); bit-identical to Coarse.
 };
 
@@ -51,7 +51,7 @@ enum class Granularity {
 struct MultiGfOptions {
   index_t num_matrices = 8;      ///< total Hubbard matrices (per spin pair)
   int num_ranks = 2;             ///< mini-MPI ranks
-  int omp_threads_per_rank = 0;  ///< 0 = leave the OpenMP default
+  int omp_threads_per_rank = 0;  ///< 0 = OpenMP max threads / ranks
   index_t cluster_size = 0;      ///< 0 = divisor of L nearest sqrt(L)
   bool measure_time_dependent = true;
   /// Fraction of the batch (front-loaded) that also computes the Rows /
@@ -85,7 +85,7 @@ struct SchedSummary {
   double stage_build_seconds = 0.0;    ///< summed matrix-assembly node time
   double stage_cls_seconds = 0.0;      ///< summed cluster-product node time
   double stage_bsofi_seconds = 0.0;    ///< summed BSOFI node time
-  double stage_wrap_seconds = 0.0;     ///< summed seed-walk node time
+  double stage_wrap_seconds = 0.0;     ///< summed panel-walk node time
   double stage_measure_seconds = 0.0;  ///< summed measurement node time
 
   // --- mixed-precision telemetry (zero for fp64 batches) ------------------
@@ -131,7 +131,7 @@ struct FsiBatchTask {
 /// Execution knobs of one run_fsi_batch call.
 struct FsiBatchOptions {
   int num_workers = 0;           ///< graph workers (0 = OpenMP max threads)
-  int omp_threads_per_worker = 0;///< 0 = leave the OpenMP default
+  int omp_threads_per_worker = 0;///< 0 = OpenMP max threads / workers
   index_t cluster_size = 0;      ///< 0 = divisor of L nearest sqrt(L)
   Schedule schedule = Schedule::WorkStealing;
   /// Scalar precision of the CLS and WRP nodes (FSI_PRECISION env default).
@@ -145,9 +145,9 @@ struct FsiBatchOptions {
 
 /// Execute a batch of externally-supplied tasks through the same
 /// fine-granularity task graph as run_parallel_fsi (build -> cluster
-/// products -> BSOFI -> seed walks -> measure, one sub-graph per task and
+/// products -> BSOFI -> panel walks -> measure, one sub-graph per task and
 /// spin, all on the persistent sched::Executor pool, so a straggler task's
-/// seed walks are stolen by idle workers).  Returns one Measurements per
+/// panel walks are stolen by idle workers).  Returns one Measurements per
 /// task, in task order; results are bit-identical to running in-process
 /// selinv::fsi_multi + the measurement accumulators per task, regardless of
 /// worker count or steal order.  \p sched, when non-null, receives the

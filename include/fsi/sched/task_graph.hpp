@@ -4,13 +4,13 @@
 ///
 /// BatchScheduler distributes *independent* whole-matrix tasks; the FSI
 /// stages inside one matrix are not independent — every BSOFI depends on
-/// its b cluster products, every wrap seed walk depends on BSOFI.  A
+/// its b cluster products, every wrap panel walk depends on BSOFI.  A
 /// TaskGraph expresses exactly that: nodes carry a body, a stage tag (for
 /// telemetry) and a dependency count; edges order them.  The executor
 /// (executor.hpp) preloads the dependency-free nodes into the same
 /// owner-FIFO / steal-half deques the batch scheduler uses and releases
 /// successors as their last predecessor finishes — so a straggler matrix's
-/// b² seed walks can be stolen by idle workers, which flat OpenMP loops
+/// panel walks can be stolen by idle workers, which flat OpenMP loops
 /// never allowed.
 ///
 /// A graph is built single-threaded, validated (cycle check) once, and run
@@ -28,10 +28,10 @@ using NodeId = std::uint32_t;
 /// Stage tag of a node, used to bucket node-latency telemetry and to map
 /// graph-mode FsiStats onto the paper's CLS / BSOFI / WRP decomposition.
 enum class Stage : int {
-  Build = 0,  ///< matrix assembly (HS field -> M, BlockOps factorisation)
+  Build = 0,  ///< matrix assembly (HS field -> M, BlockOps inversion)
   Cls,        ///< one cluster product of the factor-of-c reduction
   Bsofi,      ///< inversion of the reduced b-block p-cyclic matrix
-  Wrap,       ///< one seed walk of the wrapping stage
+  Wrap,       ///< one panel walk of the wrapping stage
   Measure,    ///< per-task measurement accumulation / cleanup
   Other,      ///< anything else
   kCount

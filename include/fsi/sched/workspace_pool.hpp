@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -131,6 +132,14 @@ inline dense::MatrixF acquire_copy_f(dense::ConstMatrixViewF src) {
 }
 inline void recycle(dense::MatrixF&& m) {
   WorkspacePool::global().recycle(std::move(m));
+}
+/// acquire() or acquire_f() by scalar, for scalar-generic callers.
+template <typename T>
+inline dense::BasicMatrix<T> acquire_as(index_t rows, index_t cols) {
+  if constexpr (std::is_same_v<T, float>)
+    return acquire_f(rows, cols);
+  else
+    return acquire(rows, cols);
 }
 
 }  // namespace fsi::sched

@@ -13,7 +13,8 @@
 ///   3. WRP  — wrapping (paper Alg. 2): the b^2 blocks of the reduced inverse
 ///             are exact blocks of G (Eq. 8, G~_{k0,l0} = G_{c k0-q, c l0-q});
 ///             use them as seeds and the adjacency relations to grow the
-///             requested pattern (cost 3(bL - b^2)N^3, parallel over seeds).
+///             requested pattern (cost 3(bL - b^2)N^3, parallel over the b
+///             block-row/column panels of seeds).
 ///
 /// The random offset q (uniform in [0, c)) shifts which blocks are selected
 /// so that, across many Green's functions in a Monte Carlo run, all of G is
@@ -45,7 +46,8 @@ struct FsiOptions {
   index_t q = -1;
   /// Which blocks of G to compute.
   Pattern pattern = Pattern::Columns;
-  /// Coarse-grain OpenMP parallelism over clusters (CLS) and seeds (WRP).
+  /// Coarse-grain OpenMP parallelism over clusters (CLS) and panel walks
+  /// (WRP), one thread per unit.
   /// true  = the paper's "FSI with OpenMP" mode;
   /// false = the paper's "pure multi-threaded MKL" comparator (Figs. 8
   ///         bottom, 10, 11): serial outer loops, threaded kernels only.
@@ -55,7 +57,7 @@ struct FsiOptions {
   ///              (default on) allows it, else OmpLoops;
   ///   Graph    — decompose into a dependency-aware task graph run on the
   ///              persistent executor pool (cluster products, BSOFI and
-  ///              seed walks become stealable nodes);
+  ///              panel walks become stealable nodes);
   ///   OmpLoops — flat OpenMP loops per stage (the pre-executor behaviour,
   ///              kept as an A/B baseline; bit-identical results).
   /// Note: coarse_parallel == false always executes serial loops — it is
@@ -64,7 +66,7 @@ struct FsiOptions {
   Exec exec = Exec::Auto;
   /// Scalar precision of the error-tolerant stages.  Fp64 (the default
   /// unless FSI_PRECISION overrides it) is bit-identical to the historic
-  /// pipeline.  Mixed runs CLS cluster products and WRP seed walks in fp32
+  /// pipeline.  Mixed runs CLS cluster products and WRP panel walks in fp32
   /// (BSOFI stays fp64), health-gates the result, and reruns in fp64 when
   /// the gate trips — see mixed_gate() and docs/precision.md.  Mixed runs
   /// execute loop-shaped (the graph path is fp64-only at this layer; the
@@ -119,44 +121,36 @@ pcyclic::PCyclicMatrix cluster_mixed(const pcyclic::PCyclicMatrix& m,
                                      index_t c, index_t q,
                                      bool parallel = true);
 
-/// Number of independent seed walks of one wrapping stage: b for the
-/// diagonal-family patterns, b^2 for Columns/Rows (paper Alg. 2).
-index_t num_wrap_seeds(Pattern pattern, index_t b);
-
-/// One seed walk — the body of one WRP loop iteration / graph node.  Grows
-/// the blocks reachable from linearised seed index \p seed (Columns:
-/// seed = l0*b + k0; Rows: seed = k0*b + l0; diagonal family: seed = k0)
-/// into \p out.  Distinct seeds write disjoint slots, so concurrent walks
-/// need no locking.
-void wrap_seed(const pcyclic::BlockOps& ops, const dense::Matrix& gtilde,
-               Pattern pattern, const pcyclic::Selection& sel,
-               pcyclic::SelectedInversion& out, index_t seed);
-
-/// Mixed-precision twin of wrap_seed: walks fp32 blocks through the fp32
-/// adjacency relations of \p ops, starting from the demoted reduced
-/// inverse \p gtilde_f, and promotes every stored block into \p out (whose
-/// slots stay fp64, so downstream measurement code is unchanged).
-void wrap_seed_f(const pcyclic::BlockOpsF& ops, const dense::MatrixF& gtilde_f,
-                 Pattern pattern, const pcyclic::Selection& sel,
-                 pcyclic::SelectedInversion& out, index_t seed);
+/// One panel walk — the body of one WRP loop iteration / graph node.  Every
+/// pattern has b = sel.b() units.  Columns: unit k0 walks block row k0 of
+/// \p gtilde (its b seeds share row index idx[k0], so each up/down step is
+/// one N x bN GEMM against B_k^-1 or B_k) and fills the c rows around
+/// idx[k0] in every selected column.  Rows: unit l0 walks block column l0
+/// the same way with left/right steps.  Diagonal family: unit k0 walks the
+/// diagonal seed G~(k0, k0).  Blocks are stored into \p out as fp64 (fp32
+/// walks promote on store, so downstream measurement code is unchanged).
+/// Distinct units write disjoint slots, so concurrent walks need no
+/// locking.  The walk's kernels thread as the caller's OpenMP setting
+/// allows; coarse-parallel callers run each walk on one thread.
+/// Instantiated for double and float (the mixed-precision WRP).
+template <typename T>
+void wrap_panel(const pcyclic::BasicBlockOps<T>& ops,
+                const dense::BasicMatrix<T>& gtilde, Pattern pattern,
+                const pcyclic::Selection& sel,
+                pcyclic::SelectedInversion& out, index_t unit);
 
 /// Stage 3 (WRP): grow the selected inversion from the reduced inverse
-/// \p gtilde (a dense bN x bN matrix, as produced by bsofi::invert).
-/// Seeds are processed in parallel (OpenMP); each seed walks
-/// floor((c-1)/2) steps one way and floor(c/2) the other so consecutive
-/// seeds tile the pattern exactly (paper Alg. 2).
-pcyclic::SelectedInversion wrap(const pcyclic::BlockOps& ops,
-                                const dense::Matrix& gtilde, Pattern pattern,
-                                const pcyclic::Selection& sel,
+/// \p gtilde (a dense bN x bN matrix, as produced by bsofi::invert, or its
+/// fp32 demotion with fp32 \p ops).  With \p parallel the b panel walks
+/// of wrap_panel run as an OpenMP loop, one thread per walk; without it
+/// they run serially on threaded kernels (the pure-MKL comparator).  Each
+/// walk takes floor((c-1)/2) steps one way and floor(c/2) the other so
+/// consecutive seeds tile the pattern exactly (paper Alg. 2).
+template <typename T>
+pcyclic::SelectedInversion wrap(const pcyclic::BasicBlockOps<T>& ops,
+                                const dense::BasicMatrix<T>& gtilde,
+                                Pattern pattern, const pcyclic::Selection& sel,
                                 bool parallel = true);
-
-/// Mixed-precision WRP over wrap_seed_f (gtilde_f is the demoted reduced
-/// inverse; results are promoted fp64 blocks).
-pcyclic::SelectedInversion wrap_f(const pcyclic::BlockOpsF& ops,
-                                  const dense::MatrixF& gtilde_f,
-                                  Pattern pattern,
-                                  const pcyclic::Selection& sel,
-                                  bool parallel = true);
 
 // ---------------------------------------------------------------------------
 // Mixed-precision health gate.
@@ -194,14 +188,14 @@ double reduced_cond1(const pcyclic::PCyclicMatrix& reduced,
 
 /// The full FSI algorithm (paper Alg. 1).  \p rng supplies the random q
 /// when opts.q < 0.  \p stats, when non-null, receives per-stage
-/// times/flops.  Pre-factored \p ops must wrap the same matrix \p m.
+/// times/flops.  Prebuilt \p ops must wrap the same matrix \p m.
 pcyclic::SelectedInversion fsi(const pcyclic::PCyclicMatrix& m,
                                const pcyclic::BlockOps& ops,
                                const FsiOptions& opts, util::Rng& rng,
                                FsiStats* stats = nullptr);
 
 /// Convenience overload that builds the BlockOps internally (its
-/// factorisation time is attributed to the wrapping stage, which is the
+/// inversion time is attributed to the wrapping stage, which is the
 /// only consumer).
 pcyclic::SelectedInversion fsi(const pcyclic::PCyclicMatrix& m,
                                const FsiOptions& opts, util::Rng& rng,
@@ -223,7 +217,7 @@ std::vector<pcyclic::SelectedInversion> fsi_multi(
 ///   - cluster node i writes cls_blocks[i];
 ///   - the BSOFI node assembles the reduced matrix from cls_blocks
 ///     (recycling them) and writes gtilde + the stage flop fences;
-///   - wrap node (p, seed) writes disjoint slots of results[p].
+///   - wrap node (p, unit) writes disjoint slots of results[p].
 /// After the run the caller recycles gtilde and harvests results.
 struct FsiGraphTask {
   const pcyclic::PCyclicMatrix* m = nullptr;
@@ -251,9 +245,9 @@ struct FsiEmit {
 };
 
 /// Decompose one FSI into graph nodes: b cluster-product nodes, one BSOFI
-/// node depending on them, and one node per wrap seed walk (per pattern)
-/// depending on BSOFI.  \p task must have m/ops/sel/patterns set; its
-/// storage fields are sized here.  All nodes carry \p owner_hint, so with
+/// node depending on them, and b panel-walk nodes per pattern (each on one
+/// OpenMP thread) depending on BSOFI.  \p task must have m/ops/sel/patterns
+/// set; its storage fields are sized here.  All nodes carry \p owner_hint, so with
 /// stealing disabled an entire task runs on its statically assigned worker.
 FsiEmit emit_fsi_tasks(sched::TaskGraph& graph, FsiGraphTask& task,
                        int owner_hint = 0);

@@ -16,7 +16,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
+#include <memory>
 
 #include <omp.h>
 
@@ -165,8 +165,13 @@ void gemm(Trans ta, Trans tb, T alpha, BasicConstMatrixView<T> a,
 
   const index_t mtiles = (m + kMr - 1) / kMr;
   const index_t ntiles = (n + kNr - 1) / kNr;
-  std::vector<T> apack(static_cast<std::size_t>(mtiles) * kMr * kKc);
-  std::vector<T> bpack(static_cast<std::size_t>(ntiles) * kNr * kKc);
+  // Sized for the deepest k-block actually used and left uninitialised:
+  // packing writes every element, edge padding included.
+  const auto kc_max = static_cast<std::size_t>(std::min(k, kKc));
+  const std::unique_ptr<T[]> apack(
+      new T[static_cast<std::size_t>(mtiles) * kMr * kc_max]);
+  const std::unique_ptr<T[]> bpack(
+      new T[static_cast<std::size_t>(ntiles) * kNr * kc_max]);
 
 #pragma omp parallel
   {
@@ -177,18 +182,18 @@ void gemm(Trans ta, Trans tb, T alpha, BasicConstMatrixView<T> a,
 #pragma omp for nowait
       for (index_t it = 0; it < mtiles; ++it)
         pack_a_panel(a, ta, pc, kc, it * kMr, m,
-                     apack.data() + static_cast<std::size_t>(it) * kMr * kc);
+                     apack.get() + static_cast<std::size_t>(it) * kMr * kc);
 #pragma omp for
       for (index_t jt = 0; jt < ntiles; ++jt)
         pack_b_panel(b, tb, pc, kc, jt * kNr, n,
-                     bpack.data() + static_cast<std::size_t>(jt) * kNr * kc);
+                     bpack.get() + static_cast<std::size_t>(jt) * kNr * kc);
       // implicit barrier: packing complete before tiles are consumed
 
 #pragma omp for collapse(2) schedule(dynamic, 4)
       for (index_t jt = 0; jt < ntiles; ++jt) {
         for (index_t it = 0; it < mtiles; ++it) {
-          micro_kernel(apack.data() + static_cast<std::size_t>(it) * kMr * kc,
-                       bpack.data() + static_cast<std::size_t>(jt) * kNr * kc, kc, acc);
+          micro_kernel(apack.get() + static_cast<std::size_t>(it) * kMr * kc,
+                       bpack.get() + static_cast<std::size_t>(jt) * kNr * kc, kc, acc);
           const index_t ir = it * kMr, jr = jt * kNr;
           const index_t mr = std::min(kMr, m - ir), nr = std::min(kNr, n - jr);
           for (index_t j = 0; j < nr; ++j) {

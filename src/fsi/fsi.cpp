@@ -129,12 +129,6 @@ PCyclicMatrix cluster_mixed(const PCyclicMatrix& m, index_t c, index_t q,
 
 namespace {
 
-/// Copy the seed block G~(k0, l0) out of the reduced inverse (pool-backed).
-dense::Matrix seed_block(const dense::Matrix& gtilde, index_t n, index_t k0,
-                         index_t l0) {
-  return sched::acquire_copy(gtilde.block(k0 * n, l0 * n, n, n));
-}
-
 /// Sampled health spot check: verify two stored blocks of a completed
 /// Columns/Rows wrap against the defining relation M G = G M = I.
 ///
@@ -245,290 +239,144 @@ void set_mixed_gate(const MixedGate& gate) noexcept {
   g.cond.store(gate.cond_max, std::memory_order_relaxed);
 }
 
-index_t num_wrap_seeds(Pattern pattern, index_t b) {
-  switch (pattern) {
-    case Pattern::Diagonal:
-    case Pattern::SubDiagonal:
-    case Pattern::AllDiagonals:
-      return b;
-    case Pattern::Columns:
-    case Pattern::Rows:
-      return b * b;
-  }
-  return 0;
-}
-
-void wrap_seed(const pcyclic::BlockOps& ops, const dense::Matrix& gtilde,
-               Pattern pattern, const Selection& sel, SelectedInversion& out,
-               index_t seed) {
-  FSI_OBS_SPAN("wrp.seed");
-  const index_t n = ops.block_size();
-  const index_t l = ops.num_blocks();
-  const index_t b = sel.b();
-  const auto idx = sel.indices();
-  const index_t up_steps = (sel.c - 1) / 2;
-  const index_t down_steps = sel.c / 2;
-
-  switch (pattern) {
-    case Pattern::Diagonal: {
-      // S1 is exactly the diagonal seeds — no adjacency moves needed.
-      const index_t k0 = seed;
-      out.slot(idx[k0], idx[k0]) = seed_block(gtilde, n, k0, k0);
-      break;
-    }
-    case Pattern::SubDiagonal: {
-      // One rightward move from each diagonal seed (skip k = L-1, whose
-      // sub-diagonal neighbour leaves the matrix per the paper's S2).
-      const index_t k0 = seed;
-      const index_t k = idx[k0];
-      if (k == l - 1) break;
-      dense::Matrix sb = seed_block(gtilde, n, k0, k0);
-      out.slot(k, k + 1) = ops.right(k, k, sb);
-      sched::recycle(std::move(sb));
-      break;
-    }
-    case Pattern::Columns: {
-      // Paper Alg. 2: each of the b^2 seeds fills the c rows around it in
-      // its column; two independent walks minimise error accumulation.
-      const index_t l0 = seed / b;
-      const index_t k0 = seed % b;
-      const index_t col = idx[l0];
-      const index_t row = idx[k0];
-      // Two independent walks from one seed; every intermediate and
-      // every stored copy cycles through the workspace pool.
-      dense::Matrix sb = seed_block(gtilde, n, k0, l0);
-      dense::Matrix cur = sched::acquire_copy(sb);
-      index_t k = row;
-      for (index_t s = 0; s < up_steps; ++s) {
-        dense::Matrix next = ops.up(k, col, cur);
-        sched::recycle(std::move(cur));
-        cur = std::move(next);
-        k = ops.matrix().wrap(k - 1);
-        out.slot(k, col) = sched::acquire_copy(cur);
-      }
-      sched::recycle(std::move(cur));
-      cur = std::move(sb);
-      k = row;
-      out.slot(k, col) = sched::acquire_copy(cur);
-      for (index_t s = 0; s < down_steps; ++s) {
-        dense::Matrix next = ops.down(k, col, cur);
-        sched::recycle(std::move(cur));
-        cur = std::move(next);
-        k = ops.matrix().wrap(k + 1);
-        out.slot(k, col) = sched::acquire_copy(cur);
-      }
-      sched::recycle(std::move(cur));
-      break;
-    }
-    case Pattern::AllDiagonals: {
-      // Diagonal walk: G(k+1,k+1) = B_{k+1} G(k,k) B_{k+1}^-1 and its
-      // inverse move, composed from one vertical and one horizontal
-      // adjacency step each (the "Hirsch wrapping" for equal-time blocks).
-      const index_t k0 = seed;
-      const index_t row = idx[k0];
-      dense::Matrix sb = seed_block(gtilde, n, k0, k0);
-      dense::Matrix cur = sched::acquire_copy(sb);
-      index_t k = row;
-      for (index_t s = 0; s < up_steps; ++s) {
-        // up-left: G(k-1, k-1) = B_k^-1 G(k, k) B_k.
-        dense::Matrix mid = ops.up(k, k, cur);
-        sched::recycle(std::move(cur));
-        cur = ops.left(ops.matrix().wrap(k - 1), k, mid);
-        sched::recycle(std::move(mid));
-        k = ops.matrix().wrap(k - 1);
-        out.slot(k, k) = sched::acquire_copy(cur);
-      }
-      sched::recycle(std::move(cur));
-      cur = std::move(sb);
-      k = row;
-      out.slot(k, k) = sched::acquire_copy(cur);
-      for (index_t s = 0; s < down_steps; ++s) {
-        // down-right: G(k+1, k+1) = B_{k+1} G(k, k) B_{k+1}^-1.
-        dense::Matrix mid = ops.down(k, k, cur);
-        sched::recycle(std::move(cur));
-        cur = ops.right(ops.matrix().wrap(k + 1), k, mid);
-        sched::recycle(std::move(mid));
-        k = ops.matrix().wrap(k + 1);
-        out.slot(k, k) = sched::acquire_copy(cur);
-      }
-      sched::recycle(std::move(cur));
-      break;
-    }
-    case Pattern::Rows: {
-      // Mirror of the column wrap using the horizontal relations (Eqs. 6/7).
-      const index_t k0 = seed / b;
-      const index_t l0 = seed % b;
-      const index_t row = idx[k0];
-      const index_t col = idx[l0];
-      dense::Matrix sb = seed_block(gtilde, n, k0, l0);
-      dense::Matrix cur = sched::acquire_copy(sb);
-      index_t cl = col;
-      for (index_t s = 0; s < up_steps; ++s) {
-        dense::Matrix next = ops.left(row, cl, cur);
-        sched::recycle(std::move(cur));
-        cur = std::move(next);
-        cl = ops.matrix().wrap(cl - 1);
-        out.slot(row, cl) = sched::acquire_copy(cur);
-      }
-      sched::recycle(std::move(cur));
-      cur = std::move(sb);
-      cl = col;
-      out.slot(row, cl) = sched::acquire_copy(cur);
-      for (index_t s = 0; s < down_steps; ++s) {
-        dense::Matrix next = ops.right(row, cl, cur);
-        sched::recycle(std::move(cur));
-        cur = std::move(next);
-        cl = ops.matrix().wrap(cl + 1);
-        out.slot(row, cl) = sched::acquire_copy(cur);
-      }
-      sched::recycle(std::move(cur));
-      break;
-    }
-  }
-}
-
 namespace {
 
-/// Copy the seed block G~(k0, l0) out of the demoted reduced inverse.
-dense::MatrixF seed_block_f(const dense::MatrixF& gtilde_f, index_t n,
-                            index_t k0, index_t l0) {
-  return sched::acquire_copy_f(gtilde_f.block(k0 * n, l0 * n, n, n));
+/// Pool-backed fp64 copy of one walk block — what the SelectedInversion
+/// slots hold (fp32 blocks are promoted on the way).
+dense::Matrix stored(dense::ConstMatrixView src) {
+  return sched::acquire_copy(src);
 }
-
-/// Promote an fp32 walk block into a pool-backed fp64 matrix — what the
-/// mixed wrap stores into the (fp64) SelectedInversion slots.
-dense::Matrix promoted_store(const dense::MatrixF& src) {
+dense::Matrix stored(dense::ConstMatrixViewF src) {
   dense::Matrix out = sched::acquire(src.rows(), src.cols());
   dense::promote(src, out.view());
   return out;
 }
 
+/// Walk a seed panel sitting on line \p pos: \p up_steps moves towards
+/// lower line indices, then \p down_steps towards higher ones, from the
+/// seed each time (paper Alg. 2).  move(at, dir, src, dst) writes the panel
+/// of line at + dir into dst; store(panel, at) files a panel of line at.
+/// Two ping-pong buffers: each step reads the previous panel and writes the
+/// other.
+template <typename T, typename Move, typename Store>
+void walk(const PCyclicMatrix& m, dense::BasicConstMatrixView<T> seed,
+          index_t pos, index_t up_steps, index_t down_steps, Move&& move,
+          Store&& store) {
+  store(seed, pos);
+  dense::BasicMatrix<T> cur = sched::acquire_as<T>(seed.rows(), seed.cols());
+  dense::BasicMatrix<T> prev = sched::acquire_as<T>(seed.rows(), seed.cols());
+  for (const index_t dir : {index_t{-1}, index_t{1}}) {
+    dense::BasicConstMatrixView<T> src = seed;
+    index_t at = pos;
+    for (index_t s = 0; s < (dir < 0 ? up_steps : down_steps); ++s) {
+      move(at, dir, src, cur.view());
+      at = m.wrap(at + dir);
+      store(cur, at);
+      std::swap(cur, prev);
+      src = prev;
+    }
+  }
+  sched::recycle(std::move(cur));
+  sched::recycle(std::move(prev));
+}
+
 }  // namespace
 
-void wrap_seed_f(const pcyclic::BlockOpsF& ops, const dense::MatrixF& gtilde_f,
-                 Pattern pattern, const Selection& sel, SelectedInversion& out,
-                 index_t seed) {
-  // Kept in lockstep with wrap_seed above: same walks, same recycle
-  // discipline, fp32 intermediates, promoted stores.
-  FSI_OBS_SPAN("wrp.seed_f");
+template <typename T>
+void wrap_panel(const pcyclic::BasicBlockOps<T>& ops,
+                const dense::BasicMatrix<T>& gtilde, Pattern pattern,
+                const Selection& sel, SelectedInversion& out, index_t unit) {
+  FSI_OBS_SPAN("wrp.panel");
   const index_t n = ops.block_size();
   const index_t l = ops.num_blocks();
   const index_t b = sel.b();
-  const auto idx = sel.indices();
+  const std::vector<index_t> idx = sel.indices();
+  const index_t pos = idx[unit];
   const index_t up_steps = (sel.c - 1) / 2;
   const index_t down_steps = sel.c / 2;
+  using Panel = dense::BasicConstMatrixView<T>;
+  using Out = dense::BasicMatrixView<T>;
+  const Panel g = gtilde;
 
   switch (pattern) {
-    case Pattern::Diagonal: {
-      const index_t k0 = seed;
-      dense::MatrixF sb = seed_block_f(gtilde_f, n, k0, k0);
-      out.slot(idx[k0], idx[k0]) = promoted_store(sb);
-      sched::recycle(std::move(sb));
+    case Pattern::Diagonal:
+      // S1 is exactly the diagonal seeds — no adjacency moves needed.
+      out.slot(pos, pos) = stored(g.block(unit * n, unit * n, n, n));
       break;
-    }
     case Pattern::SubDiagonal: {
-      const index_t k0 = seed;
-      const index_t k = idx[k0];
-      if (k == l - 1) break;
-      dense::MatrixF sb = seed_block_f(gtilde_f, n, k0, k0);
-      dense::MatrixF moved = ops.right(k, k, sb);
-      out.slot(k, k + 1) = promoted_store(moved);
+      // One rightward move from each diagonal seed (skip k = L-1, whose
+      // sub-diagonal neighbour leaves the matrix per the paper's S2).
+      if (pos == l - 1) break;
+      dense::BasicMatrix<T> moved =
+          ops.right(pos, pos, g.block(unit * n, unit * n, n, n));
+      out.slot(pos, pos + 1) = stored(moved);
       sched::recycle(std::move(moved));
-      sched::recycle(std::move(sb));
       break;
     }
-    case Pattern::Columns: {
-      const index_t l0 = seed / b;
-      const index_t k0 = seed % b;
-      const index_t col = idx[l0];
-      const index_t row = idx[k0];
-      dense::MatrixF sb = seed_block_f(gtilde_f, n, k0, l0);
-      dense::MatrixF cur = sched::acquire_copy_f(sb);
-      index_t k = row;
-      for (index_t s = 0; s < up_steps; ++s) {
-        dense::MatrixF next = ops.up(k, col, cur);
-        sched::recycle(std::move(cur));
-        cur = std::move(next);
-        k = ops.matrix().wrap(k - 1);
-        out.slot(k, col) = promoted_store(cur);
-      }
-      sched::recycle(std::move(cur));
-      cur = std::move(sb);
-      k = row;
-      out.slot(k, col) = promoted_store(cur);
-      for (index_t s = 0; s < down_steps; ++s) {
-        dense::MatrixF next = ops.down(k, col, cur);
-        sched::recycle(std::move(cur));
-        cur = std::move(next);
-        k = ops.matrix().wrap(k + 1);
-        out.slot(k, col) = promoted_store(cur);
-      }
-      sched::recycle(std::move(cur));
+    case Pattern::Columns:
+      // Paper Alg. 2, batched: block row `unit` of G~ holds the b seeds
+      // G(pos, idx[j]) side by side; walking it up and down fills the c
+      // rows around pos in every selected column, one GEMM per step.
+      walk(ops.matrix(), g.block(unit * n, 0, n, b * n), pos, up_steps,
+           down_steps,
+           [&](index_t at, index_t dir, Panel src, Out dst) {
+             if (dir < 0)
+               ops.up(at, idx, src, dst);
+             else
+               ops.down(at, idx, src, dst);
+           },
+           [&](Panel panel, index_t at) {
+             for (index_t j = 0; j < b; ++j)
+               out.slot(at, idx[j]) = stored(panel.block(0, j * n, n, n));
+           });
       break;
-    }
+    case Pattern::Rows:
+      // Mirror of the column walk on block column `unit` of G~ (the b
+      // seeds G(idx[j], pos) stacked), using the horizontal relations
+      // (Eqs. 6/7).
+      walk(ops.matrix(), g.block(0, unit * n, b * n, n), pos, up_steps,
+           down_steps,
+           [&](index_t at, index_t dir, Panel src, Out dst) {
+             if (dir < 0)
+               ops.left(idx, at, src, dst);
+             else
+               ops.right(idx, at, src, dst);
+           },
+           [&](Panel panel, index_t at) {
+             for (index_t j = 0; j < b; ++j)
+               out.slot(idx[j], at) = stored(panel.block(j * n, 0, n, n));
+           });
+      break;
     case Pattern::AllDiagonals: {
-      const index_t k0 = seed;
-      const index_t row = idx[k0];
-      dense::MatrixF sb = seed_block_f(gtilde_f, n, k0, k0);
-      dense::MatrixF cur = sched::acquire_copy_f(sb);
-      index_t k = row;
-      for (index_t s = 0; s < up_steps; ++s) {
-        dense::MatrixF mid = ops.up(k, k, cur);
-        sched::recycle(std::move(cur));
-        cur = ops.left(ops.matrix().wrap(k - 1), k, mid);
-        sched::recycle(std::move(mid));
-        k = ops.matrix().wrap(k - 1);
-        out.slot(k, k) = promoted_store(cur);
-      }
-      sched::recycle(std::move(cur));
-      cur = std::move(sb);
-      k = row;
-      out.slot(k, k) = promoted_store(cur);
-      for (index_t s = 0; s < down_steps; ++s) {
-        dense::MatrixF mid = ops.down(k, k, cur);
-        sched::recycle(std::move(cur));
-        cur = ops.right(ops.matrix().wrap(k + 1), k, mid);
-        sched::recycle(std::move(mid));
-        k = ops.matrix().wrap(k + 1);
-        out.slot(k, k) = promoted_store(cur);
-      }
-      sched::recycle(std::move(cur));
-      break;
-    }
-    case Pattern::Rows: {
-      const index_t k0 = seed / b;
-      const index_t l0 = seed % b;
-      const index_t row = idx[k0];
-      const index_t col = idx[l0];
-      dense::MatrixF sb = seed_block_f(gtilde_f, n, k0, l0);
-      dense::MatrixF cur = sched::acquire_copy_f(sb);
-      index_t cl = col;
-      for (index_t s = 0; s < up_steps; ++s) {
-        dense::MatrixF next = ops.left(row, cl, cur);
-        sched::recycle(std::move(cur));
-        cur = std::move(next);
-        cl = ops.matrix().wrap(cl - 1);
-        out.slot(row, cl) = promoted_store(cur);
-      }
-      sched::recycle(std::move(cur));
-      cur = std::move(sb);
-      cl = col;
-      out.slot(row, cl) = promoted_store(cur);
-      for (index_t s = 0; s < down_steps; ++s) {
-        dense::MatrixF next = ops.right(row, cl, cur);
-        sched::recycle(std::move(cur));
-        cur = std::move(next);
-        cl = ops.matrix().wrap(cl + 1);
-        out.slot(row, cl) = promoted_store(cur);
-      }
-      sched::recycle(std::move(cur));
+      // Diagonal walk of one seed by similarity transforms,
+      //   up-left:    G(k-1, k-1) = B_k^-1 G(k, k) B_k,
+      //   down-right: G(k+1, k+1) = B_{k+1} G(k, k) B_{k+1}^-1,
+      // each composed from one vertical and one horizontal adjacency move
+      // (the "Hirsch wrapping" for equal-time blocks).
+      dense::BasicMatrix<T> mid = sched::acquire_as<T>(n, n);
+      walk(ops.matrix(), g.block(unit * n, unit * n, n, n), pos, up_steps,
+           down_steps,
+           [&](index_t k, index_t dir, Panel src, Out dst) {
+             const index_t next = ops.matrix().wrap(k + dir);
+             if (dir < 0) {
+               ops.up(k, {k}, src, mid);
+               ops.left({next}, k, mid, dst);
+             } else {
+               ops.down(k, {k}, src, mid);
+               ops.right({next}, k, mid, dst);
+             }
+           },
+           [&](Panel block, index_t k) { out.slot(k, k) = stored(block); });
+      sched::recycle(std::move(mid));
       break;
     }
   }
 }
 
-SelectedInversion wrap(const pcyclic::BlockOps& ops, const dense::Matrix& gtilde,
-                       Pattern pattern, const Selection& sel, bool parallel) {
+template <typename T>
+SelectedInversion wrap(const pcyclic::BasicBlockOps<T>& ops,
+                       const dense::BasicMatrix<T>& gtilde, Pattern pattern,
+                       const Selection& sel, bool parallel) {
   const index_t n = ops.block_size();
   const index_t l = ops.num_blocks();
   const index_t b = sel.b();
@@ -537,41 +385,34 @@ SelectedInversion wrap(const pcyclic::BlockOps& ops, const dense::Matrix& gtilde
   FSI_CHECK(sel.l_total == l, "wrap: selection does not match the matrix");
 
   SelectedInversion out(pattern, n, sel);
-  const index_t seeds = num_wrap_seeds(pattern, b);
-  if (pattern == Pattern::Diagonal) {
-    // Plain seed copies — not worth a parallel region.
-    for (index_t s = 0; s < seeds; ++s)
-      wrap_seed(ops, gtilde, pattern, sel, out, s);
+  if (pattern == Pattern::Diagonal || !parallel) {
+    // Diagonal: plain seed copies, not worth a parallel region.  Not
+    // parallel: the pure-MKL comparator, serial walks on threaded kernels.
+    for (index_t u = 0; u < b; ++u)
+      wrap_panel(ops, gtilde, pattern, sel, out, u);
     return out;
   }
-#pragma omp parallel for schedule(dynamic) if (parallel)
-  for (index_t s = 0; s < seeds; ++s)
-    wrap_seed(ops, gtilde, pattern, sel, out, s);
+  // One thread per walk: the loop already fills the cores.
+#pragma omp parallel for schedule(dynamic)
+  for (index_t u = 0; u < b; ++u) {
+    const dense::SerialKernels serial;
+    wrap_panel(ops, gtilde, pattern, sel, out, u);
+  }
   return out;
 }
 
-SelectedInversion wrap_f(const pcyclic::BlockOpsF& ops,
-                         const dense::MatrixF& gtilde_f, Pattern pattern,
-                         const Selection& sel, bool parallel) {
-  const index_t n = ops.block_size();
-  const index_t l = ops.num_blocks();
-  const index_t b = sel.b();
-  FSI_CHECK(gtilde_f.rows() == b * n && gtilde_f.cols() == b * n,
-            "wrap_f: reduced inverse has wrong dimensions");
-  FSI_CHECK(sel.l_total == l, "wrap_f: selection does not match the matrix");
-
-  SelectedInversion out(pattern, n, sel);
-  const index_t seeds = num_wrap_seeds(pattern, b);
-  if (pattern == Pattern::Diagonal) {
-    for (index_t s = 0; s < seeds; ++s)
-      wrap_seed_f(ops, gtilde_f, pattern, sel, out, s);
-    return out;
-  }
-#pragma omp parallel for schedule(dynamic) if (parallel)
-  for (index_t s = 0; s < seeds; ++s)
-    wrap_seed_f(ops, gtilde_f, pattern, sel, out, s);
-  return out;
-}
+template void wrap_panel<double>(const pcyclic::BlockOps&,
+                                 const dense::Matrix&, Pattern,
+                                 const Selection&, SelectedInversion&, index_t);
+template void wrap_panel<float>(const pcyclic::BlockOpsF&,
+                                const dense::MatrixF&, Pattern,
+                                const Selection&, SelectedInversion&, index_t);
+template SelectedInversion wrap<double>(const pcyclic::BlockOps&,
+                                        const dense::Matrix&, Pattern,
+                                        const Selection&, bool);
+template SelectedInversion wrap<float>(const pcyclic::BlockOpsF&,
+                                       const dense::MatrixF&, Pattern,
+                                       const Selection&, bool);
 
 FsiEmit emit_fsi_tasks(sched::TaskGraph& graph, FsiGraphTask& task,
                        int owner_hint) {
@@ -623,12 +464,12 @@ FsiEmit emit_fsi_tasks(sched::TaskGraph& graph, FsiGraphTask& task,
 
   for (std::size_t p = 0; p < task.patterns.size(); ++p) {
     const Pattern pat = task.patterns[p];
-    const index_t seeds = num_wrap_seeds(pat, b);
-    for (index_t s = 0; s < seeds; ++s) {
+    for (index_t u = 0; u < b; ++u) {
       const sched::NodeId w = graph.add_node(
-          [t, p, pat, s](int) {
+          [t, p, pat, u](int) {
             FSI_OBS_SPAN("fsi.wrap");
-            wrap_seed(*t->ops, t->gtilde, pat, t->sel, t->results[p], s);
+            const dense::SerialKernels serial;
+            wrap_panel(*t->ops, t->gtilde, pat, t->sel, t->results[p], u);
           },
           sched::Stage::Wrap, owner_hint);
       graph.add_edge(emit.bsofi, w);
@@ -727,7 +568,7 @@ bool fsi_mixed_attempt(const PCyclicMatrix& m,
     return false;
   }
 
-  {  // Stage 3: WRP in fp32 (BlockOpsF demote+factor is wrap work, like
+  {  // Stage 3: WRP in fp32 (BlockOpsF demote+invert is wrap work, like
      // the fp64 convenience overload attributes BlockOps).
     StageMeter meter("fsi.wrap", stats.seconds_wrap, stats.flops_wrap);
     const pcyclic::BlockOpsF opsf(m);
@@ -735,7 +576,7 @@ bool fsi_mixed_attempt(const PCyclicMatrix& m,
     dense::demote(gtilde, gtilde_f.view());
     results.reserve(patterns.size());
     for (Pattern p : patterns)
-      results.push_back(wrap_f(opsf, gtilde_f, p, sel, coarse_parallel));
+      results.push_back(wrap(opsf, gtilde_f, p, sel, coarse_parallel));
     sched::recycle(std::move(gtilde_f));
   }
   sched::recycle(std::move(gtilde));
@@ -756,7 +597,7 @@ bool fsi_mixed_attempt(const PCyclicMatrix& m,
 }
 
 /// Mixed driver shared by fsi() and fsi_multi(): try fp32, fall back to
-/// fp64 (counted + WARN-logged) when the gate trips or the fp32 factorise
+/// fp64 (counted + WARN-logged) when the gate trips or the fp32 inversion
 /// dies on a singular block.  True = \p results holds the accepted mixed
 /// run; false = caller must run the fp64 path (with \p stats freshly
 /// zeroed here, mixed_fallback flagged).
@@ -852,7 +693,7 @@ SelectedInversion fsi(const PCyclicMatrix& m, const FsiOptions& opts,
 
   FsiStats local;
 
-  // BlockOps factorisation feeds only the wrapping moves; attribute it there.
+  // BlockOps inversion feeds only the wrapping moves; attribute it there.
   double ops_seconds = 0.0;
   std::uint64_t ops_f = 0;
   std::unique_ptr<pcyclic::BlockOps> ops;

@@ -24,11 +24,11 @@ std::size_t fsi_rank_bytes(dense::index_t n, dense::index_t l, dense::index_t c,
   }
 
   const std::size_t b_blocks = lblocks * n2;        // input B_1..B_L
-  const std::size_t lu_blocks = lblocks * n2;       // wrapping-move LU factors
+  const std::size_t inv_blocks = lblocks * n2;      // wrapping-move B^-1
   const std::size_t reduced = b * n2;               // clustered matrix
   const std::size_t gtilde = (b * b) * n2;          // dense reduced inverse
   const std::size_t selected = selected_blocks * n2;
-  return (b_blocks + lu_blocks + reduced + gtilde + selected) * sizeof(double);
+  return (b_blocks + inv_blocks + reduced + gtilde + selected) * sizeof(double);
 }
 
 bool config_fits(int ranks_per_node, std::size_t bytes_per_rank,

@@ -1,42 +1,59 @@
 #include "fsi/pcyclic/adjacency.hpp"
 
 #include <exception>
-
-#include <omp.h>
+#include <type_traits>
 
 #include "fsi/dense/blas.hpp"
+#include "fsi/dense/lu.hpp"
 #include "fsi/sched/workspace_pool.hpp"
 
 namespace fsi::pcyclic {
 namespace {
 
-/// g - I (g must be square).  Pool-backed: adjacency moves run thousands of
-/// times per batched FSI call, so their workspaces recycle.
-Matrix minus_identity(ConstMatrixView g) {
-  Matrix out = sched::acquire_copy(g);
-  for (index_t d = 0; d < out.rows(); ++d) out(d, d) -= 1.0;
-  return out;
+/// Position of \p target in \p lines, or -1: the panel block (if any) that
+/// a move lands on / starts from the diagonal.
+index_t position(const std::vector<index_t>& lines, index_t target) {
+  for (std::size_t j = 0; j < lines.size(); ++j)
+    if (lines[j] == target) return static_cast<index_t>(j);
+  return -1;
 }
 
-dense::MatrixF minus_identity(dense::ConstMatrixViewF g) {
-  dense::MatrixF out = sched::acquire_copy_f(g);
-  for (index_t d = 0; d < out.rows(); ++d) out(d, d) -= 1.0f;
-  return out;
+/// A panel of lines.size() blocks spans \p extent = N * lines.size()
+/// entries along its long dimension.
+void check_panel(index_t extent, index_t n, const std::vector<index_t>& lines) {
+  FSI_CHECK(extent == n * static_cast<index_t>(lines.size()),
+            "BlockOps: panel must hold one N x N block per index");
+}
+
+/// dst += alpha * src (shapes equal).
+template <typename T>
+void add_scaled(dense::BasicMatrixView<T> dst, T alpha,
+                dense::BasicConstMatrixView<T> src) {
+  for (index_t j = 0; j < dst.cols(); ++j)
+    for (index_t i = 0; i < dst.rows(); ++i) dst(i, j) += alpha * src(i, j);
+}
+
+template <typename T>
+void add_identity(dense::BasicMatrixView<T> dst) {
+  for (index_t d = 0; d < dst.rows(); ++d) dst(d, d) += T(1);
 }
 
 }  // namespace
 
-BlockOps::BlockOps(const PCyclicMatrix& m) : m_(m) {
-  const index_t l = m.num_blocks();
-  lu_.resize(static_cast<std::size_t>(l));
-  // Factor the L independent B blocks in parallel; exceptions (singular
+template <typename T>
+BasicBlockOps<T>::BasicBlockOps(const PCyclicMatrix& m) : m_(m) {
+  const auto l = static_cast<std::size_t>(m.num_blocks());
+  if constexpr (std::is_same_v<T, float>) b_.resize(l);
+  inv_.resize(l);
+  // Invert the L independent B blocks in parallel; exceptions (singular
   // blocks) must not escape the OpenMP region, so stash and rethrow.
   std::exception_ptr error;
 #pragma omp parallel for schedule(dynamic)
-  for (index_t i = 0; i < l; ++i) {
+  for (index_t i = 0; i < m.num_blocks(); ++i) {
     try {
-      lu_[static_cast<std::size_t>(i)] =
-          std::make_unique<dense::LuFactorization>(m.b_matrix(i));
+      const auto s = static_cast<std::size_t>(i);
+      if constexpr (std::is_same_v<T, float>) b_[s] = dense::demoted(m.b(i));
+      inv_[s] = dense::inverse(b(i));
     } catch (...) {
 #pragma omp critical
       if (!error) error = std::current_exception();
@@ -45,9 +62,20 @@ BlockOps::BlockOps(const PCyclicMatrix& m) : m_(m) {
   if (error) std::rethrow_exception(error);
 }
 
-const dense::LuFactorization& BlockOps::lu(index_t i) const {
+template <typename T>
+typename BasicBlockOps<T>::ConstView BasicBlockOps<T>::b(index_t i) const {
   FSI_CHECK(i >= 0 && i < num_blocks(), "BlockOps: block index out of range");
-  return *lu_[static_cast<std::size_t>(i)];
+  if constexpr (std::is_same_v<T, float>)
+    return b_[static_cast<std::size_t>(i)];
+  else
+    return m_.b(i);
+}
+
+template <typename T>
+typename BasicBlockOps<T>::ConstView BasicBlockOps<T>::inverse(
+    index_t i) const {
+  FSI_CHECK(i >= 0 && i < num_blocks(), "BlockOps: block index out of range");
+  return inv_[static_cast<std::size_t>(i)];
 }
 
 // ---------------------------------------------------------------------------
@@ -55,136 +83,110 @@ const dense::LuFactorization& BlockOps::lu(index_t i) const {
 // tests/test_pcyclic_adjacency.cpp which checks every case against a dense
 // inverse).  B ranges over b(0..L-1) = paper's B_1..B_L; row/col indices are
 // 0-based so "first row k=1" becomes k=0 and "last row k=L" becomes k=L-1.
+// Per panel block, with s the sign of the move:
+//   up    : s B_k^-1 G(k, l)         - [k == l]       s B_k^-1
+//   down  : s B_{k+1} G(k, l)        + [k+1 == l]     I
+//   left  : s G(k, l) B_l            + [l-1 == k]     I
+//   right : s G(k, l) B_{l+1}^-1     - [k == l]       s B_{l+1}^-1
 // ---------------------------------------------------------------------------
 
-Matrix BlockOps::up(index_t k, index_t l, ConstMatrixView g) const {
+template <typename T>
+void BasicBlockOps<T>::up(index_t k, const std::vector<index_t>& cols,
+                          ConstView g, View out) const {
   //  k != l, k != 0 : G(k-1, l) =  B_k^-1  G(k, l)
   //  k == l != 0    : G(k-1, l) =  B_k^-1 (G(k, k) - I)        [diagonal]
   //  k == 0, l != 0 : G(L-1, l) = -B_0^-1  G(0, l)             [first row]
   //  k == 0, l == 0 : G(L-1, 0) = -B_0^-1 (G(0, 0) - I)        [corner]
-  Matrix rhs = (k == l) ? minus_identity(g) : sched::acquire_copy(g);
-  if (k == 0) dense::scal(-1.0, rhs);
-  lu(k).solve(rhs);
-  return rhs;
+  const index_t n = block_size();
+  check_panel(g.cols(), n, cols);
+  const T sign = (k == 0) ? T(-1) : T(1);
+  dense::gemm(dense::Trans::No, dense::Trans::No, sign, inverse(k), g, T(0),
+              out);
+  if (const index_t j = position(cols, k); j >= 0)
+    add_scaled(out.block(0, j * n, n, n), -sign, inverse(k));
 }
 
-Matrix BlockOps::down(index_t k, index_t l, ConstMatrixView g) const {
+template <typename T>
+void BasicBlockOps<T>::down(index_t k, const std::vector<index_t>& cols,
+                            ConstView g, View out) const {
   //  generic            : G(k+1, l) =  B_{k+1} G(k, l)
   //  k+1 == l (k!=L-1)  : G(l, l)   =  B_l G(l-1, l) + I       [sub-diagonal]
   //  k == L-1, l != 0   : G(0, l)   = -B_0 G(L-1, l)           [last row]
   //  k == L-1, l == 0   : G(0, 0)   = -B_0 G(L-1, 0) + I       [corner]
-  const index_t lmax = num_blocks() - 1;
+  const index_t n = block_size();
+  check_panel(g.cols(), n, cols);
   const index_t kn = m_.wrap(k + 1);
-  Matrix out = sched::acquire(block_size(), block_size());
-  const double sign = (k == lmax) ? -1.0 : 1.0;
-  dense::gemm(dense::Trans::No, dense::Trans::No, sign, m_.b(kn), g, 0.0, out);
-  if (kn == l) {  // landed on the diagonal (covers the corner case too)
-    for (index_t d = 0; d < block_size(); ++d) out(d, d) += 1.0;
-  }
-  return out;
+  const T sign = (k == num_blocks() - 1) ? T(-1) : T(1);
+  dense::gemm(dense::Trans::No, dense::Trans::No, sign, b(kn), g, T(0), out);
+  if (const index_t j = position(cols, kn); j >= 0)  // landed on the diagonal
+    add_identity(out.block(0, j * n, n, n));
 }
 
-Matrix BlockOps::left(index_t k, index_t l, ConstMatrixView g) const {
+template <typename T>
+void BasicBlockOps<T>::left(const std::vector<index_t>& rows, index_t l,
+                            ConstView g, View out) const {
   //  generic            : G(k, l-1) =  G(k, l) B_l
   //  l == k+1 (k!=L-1)  : G(k, k)   =  G(k, k+1) B_{k+1} + I   [sub-diagonal]
   //  l == 0, k != L-1   : G(k, L-1) = -G(k, 0) B_0             [first column]
   //  l == 0, k == L-1   : G(L-1,L-1)= -G(L-1, 0) B_0 + I       [corner]
-  Matrix out = sched::acquire(block_size(), block_size());
-  const double sign = (l == 0) ? -1.0 : 1.0;
-  dense::gemm(dense::Trans::No, dense::Trans::No, sign, g, m_.b(l), 0.0, out);
-  if (m_.wrap(l - 1) == k) {  // landed on the diagonal
-    for (index_t d = 0; d < block_size(); ++d) out(d, d) += 1.0;
-  }
-  return out;
+  const index_t n = block_size();
+  check_panel(g.rows(), n, rows);
+  const T sign = (l == 0) ? T(-1) : T(1);
+  dense::gemm(dense::Trans::No, dense::Trans::No, sign, g, b(l), T(0), out);
+  if (const index_t j = position(rows, m_.wrap(l - 1)); j >= 0)
+    add_identity(out.block(j * n, 0, n, n));
 }
 
-Matrix BlockOps::right(index_t k, index_t l, ConstMatrixView g) const {
+template <typename T>
+void BasicBlockOps<T>::right(const std::vector<index_t>& rows, index_t l,
+                             ConstView g, View out) const {
   //  k != l, l != L-1 : G(k, l+1) =  G(k, l) B_{l+1}^-1
   //  k == l != L-1    : G(k, k+1) = (G(k, k) - I) B_{k+1}^-1   [diagonal]
   //  l == L-1, k != l : G(k, 0)   = -G(k, L-1) B_0^-1          [last column]
   //  k == l == L-1    : G(L-1, 0) = -(G(L-1,L-1) - I) B_0^-1   [corner]
+  const index_t n = block_size();
+  check_panel(g.rows(), n, rows);
   const index_t ln = m_.wrap(l + 1);
-  Matrix rhs = (k == l) ? minus_identity(g) : sched::acquire_copy(g);
-  if (l == num_blocks() - 1) dense::scal(-1.0, rhs);
-  lu(ln).solve_right(rhs);
-  return rhs;
+  const T sign = (l == num_blocks() - 1) ? T(-1) : T(1);
+  dense::gemm(dense::Trans::No, dense::Trans::No, sign, g, inverse(ln), T(0),
+              out);
+  if (const index_t j = position(rows, l); j >= 0)
+    add_scaled(out.block(j * n, 0, n, n), -sign, inverse(ln));
 }
 
-// ---------------------------------------------------------------------------
-// BlockOpsF — the same moves and boundary-case tables on fp32 operands.
-// Kept in lockstep with BlockOps above; test_fsi_mixed checks every move
-// against its fp64 twin within fp32 tolerance.
-// ---------------------------------------------------------------------------
-
-BlockOpsF::BlockOpsF(const PCyclicMatrix& m) : m_(m) {
-  const index_t l = m.num_blocks();
-  bf_.resize(static_cast<std::size_t>(l));
-  lu_.resize(static_cast<std::size_t>(l));
-  std::exception_ptr error;
-#pragma omp parallel for schedule(dynamic)
-  for (index_t i = 0; i < l; ++i) {
-    try {
-      dense::MatrixF bf = dense::demoted(m.b(i));
-      lu_[static_cast<std::size_t>(i)] =
-          std::make_unique<dense::LuFactorizationF>(dense::MatrixF::copy_of(bf));
-      bf_[static_cast<std::size_t>(i)] = std::move(bf);
-    } catch (...) {
-#pragma omp critical
-      if (!error) error = std::current_exception();
-    }
-  }
-  if (error) std::rethrow_exception(error);
-}
-
-dense::ConstMatrixViewF BlockOpsF::b(index_t i) const {
-  FSI_CHECK(i >= 0 && i < num_blocks(), "BlockOpsF: block index out of range");
-  return bf_[static_cast<std::size_t>(i)];
-}
-
-const dense::LuFactorizationF& BlockOpsF::lu(index_t i) const {
-  FSI_CHECK(i >= 0 && i < num_blocks(), "BlockOpsF: block index out of range");
-  return *lu_[static_cast<std::size_t>(i)];
-}
-
-dense::MatrixF BlockOpsF::up(index_t k, index_t l,
-                             dense::ConstMatrixViewF g) const {
-  dense::MatrixF rhs = (k == l) ? minus_identity(g) : sched::acquire_copy_f(g);
-  if (k == 0) dense::scal(-1.0f, rhs);
-  lu(k).solve(rhs);
-  return rhs;
-}
-
-dense::MatrixF BlockOpsF::down(index_t k, index_t l,
-                               dense::ConstMatrixViewF g) const {
-  const index_t lmax = num_blocks() - 1;
-  const index_t kn = m_.wrap(k + 1);
-  dense::MatrixF out = sched::acquire_f(block_size(), block_size());
-  const float sign = (k == lmax) ? -1.0f : 1.0f;
-  dense::gemm(dense::Trans::No, dense::Trans::No, sign, b(kn), g, 0.0f, out);
-  if (kn == l) {
-    for (index_t d = 0; d < block_size(); ++d) out(d, d) += 1.0f;
-  }
+template <typename T>
+typename BasicBlockOps<T>::Block BasicBlockOps<T>::up(index_t k, index_t l,
+                                                      ConstView g) const {
+  Block out = sched::acquire_as<T>(block_size(), block_size());
+  up(k, {l}, g, out);
   return out;
 }
 
-dense::MatrixF BlockOpsF::left(index_t k, index_t l,
-                               dense::ConstMatrixViewF g) const {
-  dense::MatrixF out = sched::acquire_f(block_size(), block_size());
-  const float sign = (l == 0) ? -1.0f : 1.0f;
-  dense::gemm(dense::Trans::No, dense::Trans::No, sign, g, b(l), 0.0f, out);
-  if (m_.wrap(l - 1) == k) {
-    for (index_t d = 0; d < block_size(); ++d) out(d, d) += 1.0f;
-  }
+template <typename T>
+typename BasicBlockOps<T>::Block BasicBlockOps<T>::down(index_t k, index_t l,
+                                                        ConstView g) const {
+  Block out = sched::acquire_as<T>(block_size(), block_size());
+  down(k, {l}, g, out);
   return out;
 }
 
-dense::MatrixF BlockOpsF::right(index_t k, index_t l,
-                                dense::ConstMatrixViewF g) const {
-  const index_t ln = m_.wrap(l + 1);
-  dense::MatrixF rhs = (k == l) ? minus_identity(g) : sched::acquire_copy_f(g);
-  if (l == num_blocks() - 1) dense::scal(-1.0f, rhs);
-  lu(ln).solve_right(rhs);
-  return rhs;
+template <typename T>
+typename BasicBlockOps<T>::Block BasicBlockOps<T>::left(index_t k, index_t l,
+                                                        ConstView g) const {
+  Block out = sched::acquire_as<T>(block_size(), block_size());
+  left({k}, l, g, out);
+  return out;
 }
+
+template <typename T>
+typename BasicBlockOps<T>::Block BasicBlockOps<T>::right(index_t k, index_t l,
+                                                         ConstView g) const {
+  Block out = sched::acquire_as<T>(block_size(), block_size());
+  right({k}, l, g, out);
+  return out;
+}
+
+template class BasicBlockOps<double>;
+template class BasicBlockOps<float>;
 
 }  // namespace fsi::pcyclic

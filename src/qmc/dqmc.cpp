@@ -80,7 +80,7 @@ GreenBlocks compute_green_blocks(const HubbardModel& model, const HsField& field
 
   // fsi_multi shares one CLS + BSOFI across all wrapping passes.  With
   // coarse_parallel on, Exec::Auto lowers the call onto the task-graph
-  // executor (cluster products, BSOFI and seed walks as dependency-ordered
+  // executor (cluster products, BSOFI and panel walks as dependency-ordered
   // nodes on the persistent pool); coarse_parallel == false keeps the
   // strictly serial loop pipeline.  Either way the result is bit-identical.
   selinv::FsiOptions opts;

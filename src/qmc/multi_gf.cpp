@@ -106,7 +106,7 @@ std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
   // Static owner of each task: the BatchScheduler contiguous preload split,
   // so with stealing disabled the placement is exactly the static baseline;
   // with stealing on, idle workers pick up a straggler task's remaining
-  // seed walks, which whole-matrix scheduling could never migrate.
+  // panel walks, which whole-matrix scheduling could never migrate.
   std::vector<int> owner(static_cast<std::size_t>(m_total), 0);
   for (int w = 0; w < workers; ++w) {
     const auto lo = static_cast<index_t>(
@@ -171,7 +171,7 @@ std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
             FSI_OBS_SPAN("qmc.build_m");
             sw->mat = std::make_unique<pcyclic::PCyclicMatrix>(
                 model.build_m(task.field, spin));
-            // Mixed tasks factor fp32; the fp64 BlockOps is built lazily by
+            // Mixed tasks invert fp32; the fp64 BlockOps is built lazily by
             // the gate node only when the task falls back.
             if (mixed)
               sw->ops_f = std::make_unique<pcyclic::BlockOpsF>(*sw->mat);
@@ -221,17 +221,16 @@ std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
 
       auto emit_wrap = [&](pcyclic::Pattern pat,
                            pcyclic::SelectedInversion* out) {
-        const index_t seeds = selinv::num_wrap_seeds(pat, b);
-        for (index_t s = 0; s < seeds; ++s) {
+        for (index_t u = 0; u < b; ++u) {
           const sched::NodeId id = graph.add_node(
-              [sw, tw, pat, out, s, mixed](int) {
+              [sw, tw, pat, out, u, mixed](int) {
                 FSI_OBS_SPAN("fsi.wrap");
                 if (mixed)
-                  selinv::wrap_seed_f(*sw->ops_f, sw->gtilde_f, pat, tw->sel,
-                                      *out, s);
+                  selinv::wrap_panel(*sw->ops_f, sw->gtilde_f, pat, tw->sel,
+                                     *out, u);
                 else
-                  selinv::wrap_seed(*sw->ops, sw->gtilde, pat, tw->sel, *out,
-                                    s);
+                  selinv::wrap_panel(*sw->ops, sw->gtilde, pat, tw->sel, *out,
+                                     u);
               },
               sched::Stage::Wrap, hint);
           graph.add_edge(bsofi_node, id);
@@ -343,7 +342,13 @@ std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
 
   sched::ExecOptions exec_opts = sched::ExecOptions::from_env();
   if (options.schedule == Schedule::Static) exec_opts.work_stealing = false;
-  exec_opts.omp_threads = options.omp_threads_per_worker;
+  // By default the graph workers share the OpenMP threads evenly, so a
+  // node's kernels never open a team on top of busy workers: one thread
+  // each when the workers already fill the cores.
+  exec_opts.omp_threads =
+      options.omp_threads_per_worker > 0
+          ? options.omp_threads_per_worker
+          : std::max(1, omp_get_max_threads() / workers);
   const sched::GraphStats gs =
       sched::Executor::instance().run_graph(graph, workers, exec_opts);
 

@@ -102,6 +102,17 @@ TEST(Gemm, DimensionMismatchThrows) {
   EXPECT_THROW(gemm(Trans::No, Trans::No, 1.0, a, b, 0.0, c), util::CheckError);
 }
 
+TEST(SerialKernels, PinsTheTeamToOneThreadAndRestoresIt) {
+  const int before = omp_get_max_threads();
+  omp_set_num_threads(3);
+  {
+    const dense::SerialKernels serial;
+    EXPECT_EQ(omp_get_max_threads(), 1);
+  }
+  EXPECT_EQ(omp_get_max_threads(), 3);
+  omp_set_num_threads(before);
+}
+
 TEST(Gemm, CountsTwoMnkFlops) {
   Matrix a(32, 48), b(48, 16), c(32, 16);
   util::flops::Scope scope;
@@ -307,6 +318,51 @@ TYPED_TEST(TypedBlas, GemmParallelPathMatchesNaive) {
   fsi::testing::naive_gemm_t<T>(Trans::No, Trans::No, T(1), a, b, T(0), c_ref);
   fsi::testing::expect_close(c, c_ref, fsi::testing::Tol<T>::tight,
                              "typed parallel gemm");
+}
+
+TYPED_TEST(TypedBlas, GemmPackedPathAroundKcBlockingAllTransposes) {
+  // Packed path with k below KC = 256 (the 64-deep WRP panel shape), equal
+  // to it, and past it at a non-multiple, for all four trans combinations.
+  // The pack buffers are sized by min(k, KC) and not zero-filled; a
+  // NaN-filled C under beta = 0 checks that every element is written.
+  using T = TypeParam;
+  using fsi::testing::naive_gemm_t;
+  using fsi::testing::random_matrix_t;
+  struct Shape {
+    index_t m, n, k;
+  };
+  for (const Shape sh : {Shape{64, 640, 64}, Shape{40, 110, 256},
+                         Shape{30, 70, 600}}) {
+    ASSERT_GE(2.0 * sh.m * sh.n * sh.k,
+              static_cast<double>(dense::kParallelFlopThreshold));
+    for (Trans ta : {Trans::No, Trans::Yes}) {
+      for (Trans tb : {Trans::No, Trans::Yes}) {
+        for (const T beta : {T(0), T(0.5)}) {
+          SCOPED_TRACE("k=" + std::to_string(sh.k) +
+                       " ta=" + std::to_string(ta == Trans::Yes) +
+                       " tb=" + std::to_string(tb == Trans::Yes) +
+                       " beta=" + std::to_string(beta));
+          util::Rng rng(44, static_cast<std::uint64_t>(sh.k));
+          BasicMatrix<T> a = (ta == Trans::No)
+                                 ? random_matrix_t<T>(sh.m, sh.k, rng)
+                                 : random_matrix_t<T>(sh.k, sh.m, rng);
+          BasicMatrix<T> b = (tb == Trans::No)
+                                 ? random_matrix_t<T>(sh.k, sh.n, rng)
+                                 : random_matrix_t<T>(sh.n, sh.k, rng);
+          BasicMatrix<T> c = random_matrix_t<T>(sh.m, sh.n, rng);
+          BasicMatrix<T> c_ref = c;
+          if (beta == T(0)) {
+            c.fill(std::numeric_limits<T>::quiet_NaN());
+            c_ref.fill(T(0));
+          }
+          gemm(ta, tb, T(-1.5), a, b, beta, c);
+          naive_gemm_t<T>(ta, tb, T(-1.5), a, b, beta, c_ref);
+          fsi::testing::expect_close(c, c_ref, fsi::testing::Tol<T>::tight,
+                                     "packed gemm around KC");
+        }
+      }
+    }
+  }
 }
 
 TYPED_TEST(TypedBlas, TrsmTrmmRoundTrip) {

@@ -8,6 +8,7 @@
 
 #include "fsi/dense/norms.hpp"
 #include "fsi/pcyclic/explicit_inverse.hpp"
+#include "fsi/sched/executor.hpp"
 #include "fsi/selinv/fsi.hpp"
 #include "testing.hpp"
 
@@ -138,6 +139,68 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<2>(t)) + "q" +
              std::to_string(std::get<3>(t)) + pname.substr(0, 2);
     });
+
+// ---------------------------------------------------------------------------
+// Panel walks: WRP walks each block row (Columns) or block column (Rows) of
+// the reduced inverse as one panel.
+
+TEST(WrapPanel, MatchesDenseInverseForEveryQAndClusterSize) {
+  // c in {1, 2, 5, L}: c = 1 stores the seeds only, c = L leaves b = 1 (a
+  // one-block panel walking the whole line).  Every Columns/Rows panel
+  // starts on the diagonal block G(pos, pos), and across q the walks cross
+  // the k = 0 / L-1 (Columns) and l = 0 / L-1 (Rows) wraps.
+  const index_t n = 3, l = 10;
+  util::Rng rng(411);
+  PCyclicMatrix m = PCyclicMatrix::random(n, l, rng);
+  const Matrix g_full = pcyclic::full_inverse_dense(m);
+  const pcyclic::BlockOps ops(m);
+  bool crossed_wrap = false;
+  for (index_t c : {index_t{1}, index_t{2}, index_t{5}, l}) {
+    for (index_t q = 0; q < c; ++q) {
+      const Selection sel(l, c, q);
+      PCyclicMatrix reduced = cluster(m, c, q);
+      const Matrix gtilde = bsofi::invert(reduced);
+      for (const index_t pos : sel.indices())
+        crossed_wrap |= pos - (c - 1) / 2 < 0 || pos + c / 2 > l - 1;
+      for (auto pattern : {pcyclic::Pattern::Columns, pcyclic::Pattern::Rows,
+                           pcyclic::Pattern::AllDiagonals}) {
+        SCOPED_TRACE("c=" + std::to_string(c) + " q=" + std::to_string(q) +
+                     " " + pcyclic::pattern_name(pattern));
+        const auto s = wrap(ops, gtilde, pattern, sel);
+        ASSERT_EQ(s.size(), sel.block_count(pattern));
+        for (const auto& [k, col] : s.keys())
+          expect_close(s.at(k, col), pcyclic::dense_block(g_full, n, k, col),
+                       1e-9, "panel walk block");
+      }
+    }
+  }
+  EXPECT_TRUE(crossed_wrap);
+}
+
+TEST(WrapPanel, GraphRunIsBitIdenticalOnOneAndFourWorkers) {
+  util::Rng rng(412);
+  PCyclicMatrix m = PCyclicMatrix::random(24, 20, rng);
+  const pcyclic::BlockOps ops(m);
+  auto run = [&](int workers) {
+    FsiGraphTask task;
+    task.m = &m;
+    task.ops = &ops;
+    task.sel = Selection(20, 5, 3);
+    task.patterns = {pcyclic::Pattern::AllDiagonals, pcyclic::Pattern::Rows,
+                     pcyclic::Pattern::Columns};
+    sched::TaskGraph graph;
+    emit_fsi_tasks(graph, task);
+    sched::Executor::instance().run_graph(graph, workers, sched::ExecOptions{});
+    return std::move(task.results);
+  };
+  const auto one = run(1);
+  const auto four = run(4);
+  ASSERT_EQ(one.size(), four.size());
+  for (std::size_t p = 0; p < one.size(); ++p)
+    for (const auto& [k, col] : one[p].keys())
+      expect_close(one[p].at(k, col), four[p].at(k, col), 0.0,
+                   "1 vs 4 graph workers");
+}
 
 TEST(Fsi, RandomQIsDrawnFromRng) {
   util::Rng rng(407);

@@ -84,6 +84,29 @@ TEST(BlockOpsF, EveryMoveMatchesFp64TwinAtEveryPosition) {
   }
 }
 
+TEST(WrapPanelF, EveryPatternMatchesFp64Walk) {
+  // The one walk template at both scalars: fp32 panels from the demoted
+  // reduced inverse against the fp64 walk from the same reduced inverse.
+  const index_t n = 6, l = 12, c = 4, q = 2;
+  pcyclic::PCyclicMatrix m = hubbard_matrix(n, l, 2.0, 1.0, 0xC3);
+  const pcyclic::Selection sel(l, c, q);
+  const pcyclic::BlockOps ops(m);
+  const pcyclic::BlockOpsF ops_f(m);
+  const Matrix gtilde = bsofi::invert(selinv::cluster(m, c, q));
+  const MatrixF gtilde_f = dense::demoted(gtilde.view());
+  for (auto pattern :
+       {pcyclic::Pattern::Diagonal, pcyclic::Pattern::SubDiagonal,
+        pcyclic::Pattern::Columns, pcyclic::Pattern::Rows,
+        pcyclic::Pattern::AllDiagonals}) {
+    SCOPED_TRACE(pcyclic::pattern_name(pattern));
+    const auto s64 = selinv::wrap(ops, gtilde, pattern, sel);
+    const auto s32 = selinv::wrap(ops_f, gtilde_f, pattern, sel);
+    ASSERT_EQ(s32.size(), s64.size());
+    for (const auto& [k, col] : s64.keys())
+      expect_close(s32.at(k, col), s64.at(k, col), kFloatTol, "fp32 walk");
+  }
+}
+
 TEST(ClusterMixed, ProductsAndReducedMatrixMatchFp64) {
   const index_t n = 6, l = 12, c = 3, q = 1;
   pcyclic::PCyclicMatrix m = hubbard_matrix(n, l, 2.0, 1.0, 0xC1);

@@ -167,7 +167,7 @@ TEST(ObsTrace, ExportedFsiTraceIsValidAndContainsStageSpans) {
   EXPECT_TRUE(names.count("fsi.bsofi")) << json;
   EXPECT_TRUE(names.count("fsi.wrap")) << json;
   EXPECT_TRUE(names.count("cls.cluster"));
-  EXPECT_TRUE(names.count("wrp.seed"));
+  EXPECT_TRUE(names.count("wrp.panel"));
   EXPECT_TRUE(names.count("bsofi.factor"));
   // Chrome requires ph/ts/dur on complete events; all ours are "X".
   EXPECT_TRUE(checker.strings_for("ph").count("X"));

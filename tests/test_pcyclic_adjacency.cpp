@@ -84,6 +84,62 @@ TEST_P(AdjacencyAllMoves, RightMatchesDenseInverseFromEveryPosition) {
     }
 }
 
+/// The panels a wrap walk moves: every block row (up/down) and block column
+/// (left/right) as a whole — which holds the diagonal block and both wrap
+/// lines 0 and L-1 — and a reversed every-other-index subset, which holds
+/// the diagonal block only on some lines.
+std::vector<std::vector<index_t>> panel_index_sets(index_t l) {
+  std::vector<index_t> all, alternate;
+  for (index_t i = 0; i < l; ++i) all.push_back(i);
+  for (index_t i = l - 1; i >= 0; i -= 2) alternate.push_back(i);
+  return {all, alternate};
+}
+
+TEST_P(AdjacencyAllMoves, PanelMovesMatchDenseInverseOnEveryLine) {
+  const auto [n, l] = GetParam();
+  AdjacencyFixtureData f(n, l, 209);
+  for (const std::vector<index_t>& lines : panel_index_sets(l)) {
+    const auto width = static_cast<index_t>(lines.size()) * n;
+    // G(rows(j), cols(j)) side by side (row panel) or stacked (column panel).
+    auto row_panel = [&](index_t k) {
+      Matrix p(n, width);
+      for (std::size_t j = 0; j < lines.size(); ++j)
+        dense::copy(f.g(k, lines[j]),
+                    p.block(0, static_cast<index_t>(j) * n, n, n));
+      return p;
+    };
+    auto col_panel = [&](index_t col) {
+      Matrix p(width, n);
+      for (std::size_t j = 0; j < lines.size(); ++j)
+        dense::copy(f.g(lines[j], col),
+                    p.block(static_cast<index_t>(j) * n, 0, n, n));
+      return p;
+    };
+    for (index_t k = 0; k < l; ++k) {
+      SCOPED_TRACE("line " + std::to_string(k) + ", " +
+                   std::to_string(lines.size()) + " blocks");
+      Matrix out(n, width);
+      f.ops.up(k, lines, row_panel(k), out);
+      expect_close(out, row_panel(f.m.wrap(k - 1)), 1e-9, "panel up");
+      f.ops.down(k, lines, row_panel(k), out);
+      expect_close(out, row_panel(f.m.wrap(k + 1)), 1e-9, "panel down");
+      Matrix out_t(width, n);
+      f.ops.left(lines, k, col_panel(k), out_t);
+      expect_close(out_t, col_panel(f.m.wrap(k - 1)), 1e-9, "panel left");
+      f.ops.right(lines, k, col_panel(k), out_t);
+      expect_close(out_t, col_panel(f.m.wrap(k + 1)), 1e-9, "panel right");
+    }
+  }
+}
+
+TEST(Adjacency, PanelMovesRejectMismatchedPanelWidth) {
+  AdjacencyFixtureData f(3, 4, 210);
+  Matrix g(3, 6), out(3, 6);  // two blocks wide, three indices
+  EXPECT_THROW(f.ops.up(1, {0, 1, 2}, g, out), util::CheckError);
+  Matrix gt(6, 3), out_t(6, 3);
+  EXPECT_THROW(f.ops.right({0, 1, 2}, 1, gt, out_t), util::CheckError);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sizes, AdjacencyAllMoves,
     ::testing::Values(std::make_pair(index_t{3}, index_t{2}),
@@ -138,15 +194,13 @@ TEST(Adjacency, WholeRowFromSingleSeed) {
   }
 }
 
-TEST(Adjacency, LuAccessorMatchesBlocks) {
+TEST(Adjacency, InverseAccessorMatchesBlocks) {
   AdjacencyFixtureData f(4, 3, 208);
   for (index_t i = 0; i < 3; ++i) {
-    Matrix x = Matrix::identity(4);
-    f.ops.lu(i).solve(x);  // x = B_i^-1
-    Matrix prod = dense::matmul(Matrix::copy_of(f.m.b(i)), x);
+    Matrix prod = dense::matmul(f.m.b(i), f.ops.inverse(i));
     expect_close(prod, Matrix::identity(4), 1e-10, "B B^-1 = I");
   }
-  EXPECT_THROW(f.ops.lu(3), util::CheckError);
+  EXPECT_THROW(f.ops.inverse(3), util::CheckError);
 }
 
 }  // namespace

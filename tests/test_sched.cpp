@@ -295,7 +295,7 @@ TEST(MultiGfSched, FineGranularityReportsGraphTelemetry) {
   EXPECT_DOUBLE_EQ(r.global.samples(), 5.0);
   EXPECT_EQ(r.sched.tasks, 5u);
   EXPECT_EQ(r.sched.workers, 2);
-  // Per task and spin: 1 build + b cluster products + 1 BSOFI + seed walks,
+  // Per task and spin: 1 build + b cluster products + 1 BSOFI + panel walks,
   // plus 1 measure node per task — far more nodes than tasks.
   EXPECT_GT(r.sched.graph_nodes, 5u * 4u);
   EXPECT_GT(r.sched.critical_path_seconds, 0.0);
