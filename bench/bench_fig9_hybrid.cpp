@@ -13,8 +13,8 @@
 /// node model (which configs OOM, analytically, matching the paper's
 /// 2.65 GB/rank arithmetic), (b) projects the aggregate Tflops for each
 /// feasible configuration from a *measured* single-core FSI rate and the
-/// scaling model, and (c) actually RUNS Alg. 3 on mini-MPI ranks at a
-/// reduced size to demonstrate the scatter/FSI/reduce pipeline end-to-end.
+/// scaling model, and (c) actually RUNS Alg. 3 on task-graph workers at a
+/// reduced size to demonstrate the field/FSI/merge pipeline end-to-end.
 ///
 ///   ./bench_fig9_hybrid [--N 96] [--L 40] [--c 5] [--demo-ranks 4]
 
@@ -26,7 +26,6 @@
 #include <thread>
 
 #include "fsi/mpi/edison_model.hpp"
-#include "fsi/mpi/minimpi.hpp"
 #include "fsi/qmc/multi_gf.hpp"
 #include "fsi/sched/executor.hpp"
 
@@ -103,7 +102,7 @@ int main(int argc, char** argv) {
       "N >= 576 (paper: 12 ranks/socket x 2.65 GB = 31.8 GB > socket memory);\n"
       "hybrid rows stay feasible and deliver 20-31 Tflops.\n\n");
 
-  // (c) functional demonstration of Alg. 3 on mini-MPI.
+  // (c) functional demonstration of Alg. 3 on graph workers.
   const int demo_ranks = cli.get_int("demo-ranks", 4);
   qmc::HubbardParams params;
   params.l = l_meas;
@@ -115,55 +114,52 @@ int main(int argc, char** argv) {
   opt.omp_threads_per_rank = 1;
   opt.cluster_size = c_meas;
   qmc::MultiGfResult r = qmc::run_parallel_fsi(model, opt);
-  std::printf("mini-MPI demo (measured): %d matrices on %d ranks -> "
+  std::printf("Alg. 3 demo (measured): %d matrices on %d workers -> "
               "%.2f Gflops aggregate, <n> = %.3f, sign = %.1f\n",
               opt.num_matrices, demo_ranks, r.gflops(), r.global.density(),
               r.global.avg_sign());
-  std::printf("  scheduler: %llu steal batches, %llu tasks migrated, "
+  std::printf("  scheduler: %llu steal batches, %llu nodes migrated, "
               "pool hit rate %.0f%% (first batch includes warmup misses)\n\n",
               static_cast<unsigned long long>(r.sched.steal_batches),
               static_cast<unsigned long long>(r.sched.stolen_tasks),
               100.0 * r.sched.pool_hit_rate());
 
-  // (d) scheduler A/B on a skewed batch: only the leading quarter of the
+  // (d) load balance on a skewed batch: only the leading quarter of the
   // tasks computes the Rows/Columns passes, so the contiguous static split
-  // overloads the low ranks.  One warmup batch first, so both timed runs
-  // draw their workspaces from a populated pool.
+  // overloads the low workers and stealing has to even it out.  One warmup
+  // batch first, so the timed run draws its workspaces from a populated
+  // pool.
   qmc::MultiGfOptions skew = opt;
   skew.num_matrices = demo_ranks * 4;
   skew.heavy_fraction = 0.25;
-  skew.schedule = qmc::Schedule::WorkStealing;
   (void)qmc::run_parallel_fsi(model, skew);  // pool + cache warmup
   const qmc::MultiGfResult steal = qmc::run_parallel_fsi(model, skew);
-  skew.schedule = qmc::Schedule::Static;
-  const qmc::MultiGfResult stat = qmc::run_parallel_fsi(model, skew);
 
-  util::Table ab({"schedule", "wall (s)", "balance max/mean", "steals",
-                  "pool hit rate"});
-  ab.add_row({"static split", util::Table::num(stat.seconds, 3),
-              util::Table::num(stat.sched.balance(), 2),
-              util::Table::num((long long)stat.sched.stolen_tasks),
-              util::Table::num(stat.sched.pool_hit_rate(), 3)});
-  ab.add_row({"work stealing", util::Table::num(steal.seconds, 3),
+  util::Table ab({"wall (s)", "balance max/mean", "steals", "pool hit rate"});
+  ab.add_row({util::Table::num(steal.seconds, 3),
               util::Table::num(steal.sched.balance(), 2),
               util::Table::num((long long)steal.sched.stolen_tasks),
               util::Table::num(steal.sched.pool_hit_rate(), 3)});
-  std::printf("scheduler A/B on a skewed batch (%d matrices, heavy fraction "
-              "%.2f, %d ranks):\n",
+  std::printf("work stealing on a skewed batch (%d matrices, heavy fraction "
+              "%.2f, %d workers):\n",
               skew.num_matrices, skew.heavy_fraction, demo_ranks);
   ab.print();
 
-  // (e) batch-dispatch overhead: DQMC sweeps dispatch thousands of small
-  // batches, so the per-batch cost of standing up the rank team matters.
-  // The persistent executor pool wakes sleeping workers through a condition
-  // variable; the old implementation spawned and joined one std::thread per
-  // rank per batch.  Time both on empty rank bodies.
+  // (e) batch-dispatch overhead: a served or looped workload dispatches
+  // many small batches, so the per-batch cost of standing up the worker
+  // team matters.  The persistent executor pool wakes sleeping helpers
+  // through a condition variable; the alternative spawns and joins one
+  // std::thread per worker per batch.  Time both: run_graph on an empty
+  // graph of one node per worker against spawn/join of empty threads.
   const int dispatch_reps = cli.get_int("dispatch-reps", 200);
-  auto empty_body = [](mpi::Communicator& comm) { comm.barrier(); };
-  (void)sched::Executor::instance();  // pool already warm from (c)/(d)
-  mpi::run(demo_ranks, empty_body, 1);
+  sched::TaskGraph empty_graph;
+  for (int w = 0; w < demo_ranks; ++w)
+    empty_graph.add_node([](int) {}, sched::Stage::Other, w);
+  sched::Executor& pool = sched::Executor::instance();
+  (void)pool.run_graph(empty_graph, demo_ranks, 1);  // pool warm from (c)/(d)
   util::WallTimer persist_timer;
-  for (int i = 0; i < dispatch_reps; ++i) mpi::run(demo_ranks, empty_body, 1);
+  for (int i = 0; i < dispatch_reps; ++i)
+    (void)pool.run_graph(empty_graph, demo_ranks, 1);
   const double dispatch_us_persistent =
       persist_timer.seconds() / dispatch_reps * 1e6;
   util::WallTimer spawn_timer;
@@ -177,26 +173,22 @@ int main(int argc, char** argv) {
   const double dispatch_speedup =
       dispatch_us_persistent > 0 ? dispatch_us_spawn / dispatch_us_persistent
                                  : 1.0;
-  std::printf("\nbatch-dispatch overhead (%d empty %d-rank batches):\n"
+  std::printf("\nbatch-dispatch overhead (%d empty %d-worker batches):\n"
               "  persistent pool : %8.1f us/batch\n"
               "  spawn-per-batch : %8.1f us/batch  (%.1fx slower)\n",
               dispatch_reps, demo_ranks, dispatch_us_persistent,
               dispatch_us_spawn, dispatch_speedup);
 
-  // Graph-granularity telemetry from the stealing run of section (d): node
-  // count, critical path and per-stage busy seconds (zero when FSI_EXEC=0
-  // forced the batch back onto the coarse BatchScheduler path).
-  if (steal.sched.graph_nodes > 0) {
-    std::printf("\ntask-graph telemetry (stealing run): %llu nodes, critical "
-                "path %.3f s,\n  mean ready depth %.1f, stage busy s: build "
-                "%.3f cls %.3f bsofi %.3f wrap %.3f measure %.3f\n",
-                static_cast<unsigned long long>(steal.sched.graph_nodes),
-                steal.sched.critical_path_seconds,
-                steal.sched.ready_depth_mean, steal.sched.stage_build_seconds,
-                steal.sched.stage_cls_seconds, steal.sched.stage_bsofi_seconds,
-                steal.sched.stage_wrap_seconds,
-                steal.sched.stage_measure_seconds);
-  }
+  // Task-graph telemetry from the skewed run of section (d): node count,
+  // critical path and per-stage busy seconds.
+  std::printf("\ntask-graph telemetry (skewed run): %llu nodes, critical "
+              "path %.3f s,\n  mean ready depth %.1f, stage busy s: build "
+              "%.3f cls %.3f bsofi %.3f wrap %.3f measure %.3f\n",
+              static_cast<unsigned long long>(steal.sched.graph_nodes),
+              steal.sched.critical_path_seconds, steal.sched.ready_depth_mean,
+              steal.sched.stage_build_seconds, steal.sched.stage_cls_seconds,
+              steal.sched.stage_bsofi_seconds, steal.sched.stage_wrap_seconds,
+              steal.sched.stage_measure_seconds);
 
   telemetry.add_info("N", static_cast<double>(n_meas));
   telemetry.add_info("L", static_cast<double>(l_meas));
@@ -205,13 +197,10 @@ int main(int argc, char** argv) {
   telemetry.add_metric("demo_aggregate_gflops", r.gflops(), "gflops");
   telemetry.add_metric("sched_pool_hit_rate", steal.sched.pool_hit_rate(),
                        "ratio");
-  telemetry.add_metric("sched_balance_static", stat.sched.balance(), "ratio",
-                       false, false);
   telemetry.add_metric("sched_balance_stealing", steal.sched.balance(),
                        "ratio", true, false);
   telemetry.add_metric("sched_steal_batches",
                        static_cast<double>(steal.sched.steal_batches), "count");
-  telemetry.add_metric("sched_wall_static_s", stat.seconds, "s", false, false);
   telemetry.add_metric("sched_wall_stealing_s", steal.seconds, "s", false,
                        false);
   telemetry.add_metric("dispatch_us_persistent", dispatch_us_persistent, "us",

@@ -81,11 +81,6 @@ inline StageProfile profile_fsi(const pcyclic::PCyclicMatrix& m, index_t c,
   opts.c = c;
   opts.q = q;
   opts.pattern = pattern;
-  // Committed fig8/fig10 baselines were recorded with the OpenMP-loop
-  // pipeline, whose stage seconds are wall-clock deltas; the graph executor
-  // reports summed node-busy seconds instead, which would shift every gated
-  // per-stage ratio.  Keep the profiling benches pinned to the loop path.
-  opts.exec = selinv::FsiOptions::Exec::OmpLoops;
   util::Rng rng(1);
   selinv::FsiStats stats;
   // Pre-factored BlockOps, as in the DQMC production loop: the wrapping

@@ -4,8 +4,8 @@
 ///
 /// One registry of per-thread counter slots covering the quantities the
 /// paper's performance figures are built from: floating-point operations,
-/// bytes moved through the dense kernels, kernel invocations, and mini-MPI
-/// traffic.  fsi::util::flops is a thin façade over the Flops counter here,
+/// bytes moved through the dense kernels and kernel invocations, plus pool,
+/// executor and serve activity.  fsi::util::flops is a thin façade over the Flops counter here,
 /// so flop accounting and the tracing subsystem share a single registry.
 ///
 /// Concurrency model (the result of the PR-1 audit of util/flops under the
@@ -32,12 +32,8 @@ enum class Counter : int {
   Flops = 0,       ///< floating point operations (textbook counts)
   BytesMoved,      ///< bytes read+written by dense kernels (model, not HW)
   KernelCalls,     ///< dense kernel invocations (gemm/trsm/ormqr/...)
-  MpiMessages,     ///< mini-MPI point-to-point messages sent
-  MpiBytes,        ///< mini-MPI point-to-point payload bytes sent
   PoolHits,        ///< workspace-pool acquires served from the free lists
   PoolMisses,      ///< workspace-pool acquires that fell through to malloc
-  SchedTasks,      ///< batch-scheduler tasks executed
-  SchedSteals,     ///< successful steal-half operations
   ExecNodes,       ///< task-graph nodes executed by the executor
   ExecSteals,      ///< successful steal-half operations in graph runs
   ServeRequests,   ///< inversion requests admitted by the serve front end
@@ -105,8 +101,6 @@ enum class Hist : int {
   WrapDrift = 0,  ///< ||G_wrap - G_recompute||_max at each stabilisation
   Cond1Reduced,   ///< 1-norm condition estimate of the reduced BSOFI matrix
   SelResidual,    ///< sampled ||(M G_sel - I) block||_max spot checks
-  TaskSeconds,    ///< per-task wall time in the batch scheduler
-  QueueDepth,     ///< own-deque depth sampled at each scheduler pop
   ReadyDepth,     ///< own-deque depth sampled at each graph-executor pop
   NodeSeconds,    ///< per-node wall time in the graph executor
   ServeLatency,   ///< serve request latency (arrival -> response), seconds
@@ -205,7 +199,6 @@ enum class Gauge : int {
   WrapInterval = 0,   ///< DQMC stabilisation interval currently in effect
   FlushToZero,        ///< 1 when FTZ/DAZ was enabled on the main thread
   HealthSampleEvery,  ///< residual spot-check sampling period (0 = off)
-  SchedWorkers,       ///< workers of the most recent batch scheduler
   ExecPoolWorkers,    ///< threads currently in the persistent executor pool
   ServeQueueDepth,    ///< serve admission-queue depth (sampled on change)
   ServePolicyWindowUs,  ///< adaptive policy: effective window of the active key

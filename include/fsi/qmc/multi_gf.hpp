@@ -1,24 +1,26 @@
 #pragma once
 /// \file multi_gf.hpp
 /// \brief Parallel application of FSI to many Green's functions
-/// (paper Alg. 3 / Fig. 5) over the mini-MPI + OpenMP hybrid.
+/// (paper Alg. 3 / Fig. 5) on the persistent task-graph executor.
 ///
 /// DQMC needs selected inversions of tens of thousands of Hubbard matrices.
 /// The matrices are parameterised by the Hubbard-Stratonovich field, so —
-/// exactly as the paper prescribes — the root rank generates the random
-/// fields and broadcasts *them* (not the matrices) to the MPI ranks; each
-/// rank builds its matrices locally, runs FSI with OpenMP inside, computes
-/// local measurement quantities in the OpenMP region, and the root merges
-/// the global measurements.
+/// as the paper prescribes — the caller generates the random fields and
+/// each task builds its matrices from its field; FSI and the local
+/// measurement quantities follow, and the per-task measurements are merged
+/// in task order.
 ///
-/// Task distribution goes through sched::BatchScheduler: every rank is
-/// preloaded with the contiguous static share [r*m/R, (r+1)*m/R) and idle
-/// ranks steal the back half of a victim's backlog, so heterogeneous batches
-/// (see \ref MultiGfOptions::heavy_fraction) balance automatically.  The
-/// result is bit-identical regardless of rank count, thread count or steal
-/// order: each task derives its wrapping offset q from (seed, task index)
-/// alone, accumulates its measurements serially into a per-task buffer, and
-/// the root merges the buffers in ascending task order.
+/// A batch runs as one sched::TaskGraph: per task and spin, one
+/// matrix-assembly node, b cluster-product nodes, one BSOFI node and b
+/// panel-walk nodes per pattern, then one measurement node per task.  Every
+/// node of task t starts on worker t*W/T's deque (the paper's contiguous
+/// static split) and idle workers steal the back half of a busy worker's
+/// backlog, so heterogeneous batches (see \ref MultiGfOptions::heavy_fraction)
+/// balance at panel-walk granularity.  The result is bit-identical
+/// regardless of worker count, thread count or steal order: each task's
+/// wrapping offset q comes from (seed, task index) alone, every node writes
+/// disjoint outputs with a fixed kernel sequence, and the measurement merge
+/// walks tasks in ascending order.
 
 #include <cstdint>
 #include <vector>
@@ -29,56 +31,38 @@
 
 namespace fsi::qmc {
 
-/// How the batch of matrices is spread over the mini-MPI ranks.
-enum class Schedule {
-  WorkStealing,  ///< stealing on (default; batch scheduler or graph executor)
-  Static,        ///< frozen contiguous split — the paper's Alg. 3 baseline
-};
-
-/// At which level the batch is decomposed into stealable units.
-enum class Granularity {
-  Auto,    ///< Fine when the FSI_EXEC env flag (default on) allows it
-  Coarse,  ///< one unit per matrix: mini-MPI ranks + BatchScheduler (Alg. 3)
-  Fine,    ///< one unit per FSI stage node: matrix assembly, each cluster
-           ///< product, BSOFI and each panel walk become task-graph nodes on
-           ///< the persistent executor pool, so a straggler matrix's
-           ///< panel walks are stolen by idle workers.  Shared-memory only
-           ///< (no mini-MPI messaging); bit-identical to Coarse.
-};
-
-/// Options of one hybrid run (paper Fig. 9 sweeps ranks x threads with the
-/// product fixed at the machine's core count).
+/// Options of one hybrid run.  The paper's Fig. 9 sweeps MPI ranks x
+/// OpenMP threads with the product fixed at the core count; here the two
+/// axes are graph workers x OpenMP threads per worker.
 struct MultiGfOptions {
   index_t num_matrices = 8;      ///< total Hubbard matrices (per spin pair)
-  int num_ranks = 2;             ///< mini-MPI ranks
-  int omp_threads_per_rank = 0;  ///< 0 = OpenMP max threads / ranks
+  int num_ranks = 2;             ///< graph workers driving the batch
+  int omp_threads_per_rank = 0;  ///< per worker; 0 = OpenMP max threads / workers
   index_t cluster_size = 0;      ///< 0 = divisor of L nearest sqrt(L)
   bool measure_time_dependent = true;
   /// Fraction of the batch (front-loaded) that also computes the Rows /
   /// Columns wrapping passes and SPXX; the rest measures equal-time only.
   /// 1.0 = homogeneous batch; < 1.0 makes the batch skewed — the contiguous
-  /// static split then overloads the low ranks, which is exactly the
+  /// static split then overloads the low workers, which is exactly the
   /// imbalance work stealing is there to fix.  Ignored (treated as 0) when
   /// measure_time_dependent is false.
   double heavy_fraction = 1.0;
-  Schedule schedule = Schedule::WorkStealing;
-  Granularity granularity = Granularity::Auto;
   std::uint64_t seed = 99;
 };
 
-/// Scheduler + workspace-pool telemetry of one run_parallel_fsi call.
+/// Scheduler + workspace-pool telemetry of one batch.
 struct SchedSummary {
-  int workers = 0;                  ///< mini-MPI ranks driving the batch
+  int workers = 0;                  ///< graph workers driving the batch
   std::uint32_t tasks = 0;          ///< matrices scheduled
-  std::uint64_t steal_batches = 0;  ///< successful steals across all ranks
-  std::uint64_t stolen_tasks = 0;   ///< tasks that migrated via stealing
+  std::uint64_t steal_batches = 0;  ///< successful steals across all workers
+  std::uint64_t stolen_tasks = 0;   ///< graph nodes that migrated via stealing
   std::uint64_t pool_hits = 0;      ///< workspace-pool hits during the run
   std::uint64_t pool_misses = 0;    ///< workspace-pool misses during the run
-  double busy_max_seconds = 0.0;    ///< busiest rank's in-task wall time
-  double busy_mean_seconds = 0.0;   ///< mean in-task wall time per rank
-  std::vector<double> busy_seconds; ///< per-worker in-task wall time
+  double busy_max_seconds = 0.0;    ///< busiest worker's in-node wall time
+  double busy_mean_seconds = 0.0;   ///< mean in-node wall time per worker
+  std::vector<double> busy_seconds; ///< per-worker in-node wall time
 
-  // --- graph-granularity telemetry (zero in Coarse mode) ------------------
+  // --- task-graph telemetry -------------------------------------------------
   std::uint64_t graph_nodes = 0;       ///< task-graph nodes executed
   double critical_path_seconds = 0.0;  ///< duration-weighted longest chain
   double ready_depth_mean = 0.0;       ///< own-deque depth sampled at pops
@@ -106,15 +90,16 @@ struct SchedSummary {
 };
 
 struct MultiGfResult {
-  Measurements global;     ///< merged over all ranks, ascending task order
+  Measurements global;     ///< merged over all tasks, ascending task order
   double seconds = 0.0;    ///< wall time of the parallel region
-  std::uint64_t flops = 0; ///< dense-kernel flops across all ranks/threads
+  std::uint64_t flops = 0; ///< dense-kernel flops across all workers/threads
   SchedSummary sched;      ///< scheduler + pool telemetry
   double gflops() const { return seconds > 0 ? flops / seconds * 1e-9 : 0.0; }
 };
 
-/// Run Alg. 3: broadcast fields, scheduler-driven per-rank FSI + local
-/// measurements, deterministic merge on the root.
+/// Run Alg. 3: generate the batch's fields and offsets from options.seed,
+/// run them through run_fsi_batch, and merge the per-task measurements in
+/// ascending task order.
 MultiGfResult run_parallel_fsi(const HubbardModel& model,
                                const MultiGfOptions& options);
 
@@ -133,7 +118,6 @@ struct FsiBatchOptions {
   int num_workers = 0;           ///< graph workers (0 = OpenMP max threads)
   int omp_threads_per_worker = 0;///< 0 = OpenMP max threads / workers
   index_t cluster_size = 0;      ///< 0 = divisor of L nearest sqrt(L)
-  Schedule schedule = Schedule::WorkStealing;
   /// Scalar precision of the CLS and WRP nodes (FSI_PRECISION env default).
   /// Mixed tasks get a per-task gate node between the wrap fences and the
   /// measurement: probed residual / cond1 beyond selinv::mixed_gate() (or
@@ -143,15 +127,14 @@ struct FsiBatchOptions {
   Precision precision = precision_from_env();
 };
 
-/// Execute a batch of externally-supplied tasks through the same
-/// fine-granularity task graph as run_parallel_fsi (build -> cluster
-/// products -> BSOFI -> panel walks -> measure, one sub-graph per task and
-/// spin, all on the persistent sched::Executor pool, so a straggler task's
-/// panel walks are stolen by idle workers).  Returns one Measurements per
-/// task, in task order; results are bit-identical to running in-process
-/// selinv::fsi_multi + the measurement accumulators per task, regardless of
-/// worker count or steal order.  \p sched, when non-null, receives the
-/// run's scheduler telemetry.
+/// Execute a batch of externally-supplied tasks as one task graph (build ->
+/// cluster products -> BSOFI -> panel walks -> measure, one sub-graph per
+/// task and spin, all on the persistent sched::Executor pool, so a
+/// straggler task's panel walks are stolen by idle workers).  Returns one
+/// Measurements per task, in task order; results are bit-identical to
+/// running selinv::fsi_multi with coarse_parallel = false plus the
+/// measurement accumulators per task, regardless of worker count or steal
+/// order.  \p sched, when non-null, receives the run's scheduler telemetry.
 std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
                                         const std::vector<FsiBatchTask>& tasks,
                                         const FsiBatchOptions& options,

@@ -2,30 +2,21 @@
 /// \file executor.hpp
 /// \brief Persistent worker pool + dependency-aware graph execution.
 ///
-/// Two responsibilities, one pool of long-lived threads:
-///
-///   - run_ranks(n, body): dispatch body(0..n-1) onto n dedicated pool
-///     workers *concurrently* (mini-MPI ranks block on barriers, so they
-///     must all run at once, never be queued) and block until all return.
-///     This replaces the per-batch std::thread spawn/join in mpi::run — a
-///     DQMC run dispatches one batch per measurement sweep, and thread
-///     creation latency was pure overhead between sweeps.
-///
-///   - run_graph(graph, workers, opts): execute a validated TaskGraph on
-///     the calling thread (worker 0) plus up to workers-1 pool helpers.
-///     Ready nodes flow through the same owner-FIFO / steal-half TaskDeques
-///     as the batch scheduler; newly-ready successors go to the *front* of
-///     the finishing worker's deque (depth-first, bounding live per-task
-///     memory) while thieves take coarse future work from the back.
+/// run_graph(graph, workers, omp_threads) executes a validated TaskGraph on
+/// the calling thread (worker 0) plus workers-1 long-lived pool helpers.
+/// Ready nodes flow through owner-FIFO / steal-half TaskDeques: dependency-
+/// free nodes start on their owner-hint deque, newly-ready successors go to
+/// the *front* of the finishing worker's deque (depth-first, bounding live
+/// per-task memory) while thieves take coarse future work from the back.
+/// A worker with nothing to pop or steal sleeps kBackoffMicros before its
+/// next scan.
 ///
 /// The pool grows on demand and never blocks waiting for a busy worker, so
-/// nested dispatch (a graph run inside a rank body, a rank batch inside a
-/// test) cannot deadlock.  Idle workers sleep on a condition variable.
+/// a graph run from inside a node body cannot deadlock.  Idle workers sleep
+/// on a condition variable, so back-to-back batches (the serve engine, a
+/// loop of run_fsi_batch calls) pay no thread creation between runs.
 /// Executor::instance() is the lazily-created, intentionally-leaked global;
 /// local instances are constructible for tests.
-///
-/// Environment (table in docs/parallelism.md): FSI_SCHED (stealing on/off,
-/// shared with BatchScheduler), FSI_EXEC_WORKERS, FSI_EXEC_BACKOFF_US.
 
 #include <atomic>
 #include <condition_variable>
@@ -37,20 +28,20 @@
 #include <thread>
 #include <vector>
 
-#include "fsi/sched/scheduler.hpp"
 #include "fsi/sched/task_graph.hpp"
 #include "fsi/sched/task_queue.hpp"
 
 namespace fsi::sched {
 
-/// Knobs of one graph run.
-struct ExecOptions {
-  bool work_stealing = true;  ///< false = nodes never leave their owner
-  int backoff_us = 50;        ///< idle backoff between failed steal scans
-  int omp_threads = 0;        ///< >0: OMP team size set on every worker
+/// Idle backoff between failed steal scans of a graph worker.
+inline constexpr int kBackoffMicros = 50;
 
-  /// Defaults overlaid with FSI_SCHED / FSI_EXEC_BACKOFF_US.
-  static ExecOptions from_env();
+/// Per-worker execution statistics, owner-written, read after the run.
+struct WorkerStats {
+  std::uint64_t executed = 0;       ///< nodes this worker ran
+  std::uint64_t steal_batches = 0;  ///< successful steal_half() calls
+  std::uint64_t stolen_tasks = 0;   ///< nodes acquired by stealing
+  double busy_seconds = 0.0;        ///< wall time inside node bodies
 };
 
 /// Per-stage node telemetry of one graph run.
@@ -83,9 +74,8 @@ struct GraphStats {
 /// Cooperative execution state of one TaskGraph over num_workers workers.
 /// Construct once (validates the graph, preloads dependency-free nodes to
 /// their owner-hint deques), then have each of the num_workers concurrent
-/// threads call run_worker() with its own id — mini-MPI ranks can drive one
-/// shared GraphRunner directly.  Executor::run_graph wraps this with pool
-/// helpers for the single-caller case.
+/// threads call run_worker() with its own id.  Executor::run_graph drives
+/// it with pool helpers.
 ///
 /// Exception policy: the first throwing node body cancels the run — the
 /// remaining nodes are drained without executing their bodies, so the
@@ -93,7 +83,7 @@ struct GraphStats {
 /// run_worker() call rethrows that first exception after the drain.
 class GraphRunner {
  public:
-  GraphRunner(const TaskGraph& graph, int num_workers, ExecOptions options);
+  GraphRunner(const TaskGraph& graph, int num_workers);
 
   /// Worker \p worker's loop: pop own deque front, else steal, else back
   /// off; returns when every node of the graph has been retired.
@@ -114,7 +104,6 @@ class GraphRunner {
 
   const TaskGraph& graph_;
   int num_workers_;
-  ExecOptions options_;
   std::atomic<std::uint32_t> remaining_;
   std::unique_ptr<std::atomic<std::uint32_t>[]> deps_;
   std::vector<double> durations_;  ///< per node, written by its executor
@@ -138,27 +127,18 @@ class Executor {
   /// would race user code, exactly as with WorkspacePool::global()).
   static Executor& instance();
 
-  /// Dispatch body(0), ..., body(n-1) onto n distinct pool workers, block
-  /// until all have returned, rethrow the first exception.  Workers are
-  /// reused across calls; the pool grows (never blocks) when fewer than n
-  /// are free.  When \p omp_threads > 0 each worker's OpenMP team size is
-  /// set to it for this batch; otherwise the default captured at pool
-  /// construction is restored — a previous batch's setting never leaks.
-  void run_ranks(int n, const std::function<void(int)>& body,
-                 int omp_threads = 0);
-
-  /// Execute \p graph on the calling thread plus up to workers-1 pool
-  /// helpers.  The caller participates as worker 0, so a graph run from
-  /// inside a rank body degrades gracefully instead of deadlocking.
-  /// Rethrows the first node exception after the graph has drained.
+  /// Execute \p graph on the calling thread plus workers-1 pool helpers.
+  /// The caller participates as worker 0, so a graph run from inside a
+  /// node body degrades gracefully instead of deadlocking.  When
+  /// \p omp_threads > 0 every worker's OpenMP team size is set to it for
+  /// the run (the caller's is restored afterwards); otherwise helpers take
+  /// the caller's.  Rethrows the first node exception after the graph has
+  /// drained.
   GraphStats run_graph(const TaskGraph& graph, int workers,
-                       const ExecOptions& options);
+                       int omp_threads = 0);
 
   /// Threads currently in the pool (grows monotonically).
   int pool_size() const;
-
-  /// run_ranks batches dispatched so far (bench overhead accounting).
-  std::uint64_t dispatch_count() const;
 
  private:
   struct Slot {
@@ -167,8 +147,9 @@ class Executor {
   };
   struct Batch;  // dispatch-completion state, defined in executor.cpp
 
-  /// Pick n free slots (growing the pool as needed) and hand each a job.
-  /// Returns the shared completion state to wait_batch() on.
+  /// Pick n free slots (growing the pool as needed) and hand each a job,
+  /// which must not throw.  Returns the shared completion state to
+  /// wait_batch() on.
   std::shared_ptr<Batch> dispatch(
       int n, const std::function<void(int slot_index)>& job);
   void wait_batch(const std::shared_ptr<Batch>& batch);
@@ -180,8 +161,6 @@ class Executor {
   std::vector<std::unique_ptr<Slot>> slots_;
   std::vector<std::thread> threads_;
   bool shutdown_ = false;
-  std::uint64_t dispatches_ = 0;
-  int default_omp_threads_ = 0;  ///< OMP ICV captured at first growth
 };
 
 }  // namespace fsi::sched

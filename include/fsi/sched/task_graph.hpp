@@ -2,16 +2,15 @@
 /// \file task_graph.hpp
 /// \brief Dependency-aware task graph: the unit of work the executor runs.
 ///
-/// BatchScheduler distributes *independent* whole-matrix tasks; the FSI
-/// stages inside one matrix are not independent — every BSOFI depends on
-/// its b cluster products, every wrap panel walk depends on BSOFI.  A
-/// TaskGraph expresses exactly that: nodes carry a body, a stage tag (for
-/// telemetry) and a dependency count; edges order them.  The executor
-/// (executor.hpp) preloads the dependency-free nodes into the same
-/// owner-FIFO / steal-half deques the batch scheduler uses and releases
+/// The matrices of a batch are independent, but the FSI stages inside one
+/// matrix are not — every BSOFI depends on its b cluster products, every
+/// wrap panel walk depends on BSOFI.  A TaskGraph expresses exactly that:
+/// nodes carry a body, a stage tag (for telemetry) and a dependency count;
+/// edges order them.  The executor (executor.hpp) preloads the
+/// dependency-free nodes into owner-FIFO / steal-half deques and releases
 /// successors as their last predecessor finishes — so a straggler matrix's
-/// panel walks can be stolen by idle workers, which flat OpenMP loops
-/// never allowed.
+/// panel walks can be stolen by idle workers, which whole-matrix
+/// scheduling never allowed.
 ///
 /// A graph is built single-threaded, validated (cycle check) once, and run
 /// once; it does not own any execution state, so the same const graph could
@@ -25,8 +24,8 @@ namespace fsi::sched {
 
 using NodeId = std::uint32_t;
 
-/// Stage tag of a node, used to bucket node-latency telemetry and to map
-/// graph-mode FsiStats onto the paper's CLS / BSOFI / WRP decomposition.
+/// Stage tag of a node, used to bucket node-latency telemetry by the
+/// paper's CLS / BSOFI / WRP decomposition.
 enum class Stage : int {
   Build = 0,  ///< matrix assembly (HS field -> M, BlockOps inversion)
   Cls,        ///< one cluster product of the factor-of-c reduction

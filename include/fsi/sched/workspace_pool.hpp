@@ -19,7 +19,7 @@
 /// the default path.  The shared byte cap covers both scalar types.
 ///
 /// Concurrency: free lists are sharded by size key, each shard behind its
-/// own mutex, so concurrent mini-MPI ranks and OpenMP threads acquire and
+/// own mutex, so concurrent graph workers and OpenMP threads acquire and
 /// recycle without a global bottleneck.  Hits and misses are mirrored into
 /// obs::metrics (Counter::PoolHits / Counter::PoolMisses) for telemetry.
 ///

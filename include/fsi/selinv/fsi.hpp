@@ -28,7 +28,6 @@
 #include "fsi/pcyclic/patterns.hpp"
 #include "fsi/pcyclic/pcyclic.hpp"
 #include "fsi/precision.hpp"
-#include "fsi/sched/task_graph.hpp"
 #include "fsi/util/rng.hpp"
 
 namespace fsi::selinv {
@@ -52,25 +51,11 @@ struct FsiOptions {
   /// false = the paper's "pure multi-threaded MKL" comparator (Figs. 8
   ///         bottom, 10, 11): serial outer loops, threaded kernels only.
   bool coarse_parallel = true;
-  /// How the stage parallelism is executed.
-  ///   Auto     — Graph when coarse_parallel and the FSI_EXEC env flag
-  ///              (default on) allows it, else OmpLoops;
-  ///   Graph    — decompose into a dependency-aware task graph run on the
-  ///              persistent executor pool (cluster products, BSOFI and
-  ///              panel walks become stealable nodes);
-  ///   OmpLoops — flat OpenMP loops per stage (the pre-executor behaviour,
-  ///              kept as an A/B baseline; bit-identical results).
-  /// Note: coarse_parallel == false always executes serial loops — it is
-  /// the paper's pure-MKL comparator and must stay loop-shaped.
-  enum class Exec { Auto, Graph, OmpLoops };
-  Exec exec = Exec::Auto;
   /// Scalar precision of the error-tolerant stages.  Fp64 (the default
   /// unless FSI_PRECISION overrides it) is bit-identical to the historic
   /// pipeline.  Mixed runs CLS cluster products and WRP panel walks in fp32
   /// (BSOFI stays fp64), health-gates the result, and reruns in fp64 when
-  /// the gate trips — see mixed_gate() and docs/precision.md.  Mixed runs
-  /// execute loop-shaped (the graph path is fp64-only at this layer; the
-  /// batched graph engine in qmc::run_fsi_batch has its own mixed nodes).
+  /// the gate trips — see mixed_gate() and docs/precision.md.
   Precision precision = precision_from_env();
 };
 
@@ -210,47 +195,6 @@ std::vector<pcyclic::SelectedInversion> fsi_multi(
     const pcyclic::PCyclicMatrix& m, const pcyclic::BlockOps& ops,
     const std::vector<Pattern>& patterns, const FsiOptions& opts,
     util::Rng& rng, FsiStats* stats = nullptr);
-
-/// Storage of one FSI decomposed into graph nodes.  The caller owns this
-/// object and must keep it (and the referenced matrix/ops) alive until the
-/// graph has run; node bodies write disjoint parts of it:
-///   - cluster node i writes cls_blocks[i];
-///   - the BSOFI node assembles the reduced matrix from cls_blocks
-///     (recycling them) and writes gtilde + the stage flop fences;
-///   - wrap node (p, unit) writes disjoint slots of results[p].
-/// After the run the caller recycles gtilde and harvests results.
-struct FsiGraphTask {
-  const pcyclic::PCyclicMatrix* m = nullptr;
-  const pcyclic::BlockOps* ops = nullptr;
-  pcyclic::Selection sel{1, 1, 0};
-  std::vector<Pattern> patterns;
-
-  std::vector<dense::Matrix> cls_blocks;          ///< filled by CLS nodes
-  dense::Matrix gtilde;                           ///< filled by the BSOFI node
-  std::vector<pcyclic::SelectedInversion> results;  ///< one per pattern
-
-  /// Global flop-counter fences recorded by the BSOFI node at entry/exit.
-  /// Dependencies order the stages inside one graph, so for a lone FSI run
-  /// these attribute flops per stage exactly (same external-concurrency
-  /// caveat as the loop-mode flop scopes).
-  std::uint64_t flops_at_cls_end = 0;
-  std::uint64_t flops_at_bsofi_end = 0;
-};
-
-/// Node ids of one emitted FSI, for wiring cross-task dependencies (e.g. a
-/// measurement node that needs every wrap walk of a task).
-struct FsiEmit {
-  sched::NodeId bsofi = 0;
-  std::vector<sched::NodeId> wrap_nodes;
-};
-
-/// Decompose one FSI into graph nodes: b cluster-product nodes, one BSOFI
-/// node depending on them, and b panel-walk nodes per pattern (each on one
-/// OpenMP thread) depending on BSOFI.  \p task must have m/ops/sel/patterns
-/// set; its storage fields are sized here.  All nodes carry \p owner_hint, so with
-/// stealing disabled an entire task runs on its statically assigned worker.
-FsiEmit emit_fsi_tasks(sched::TaskGraph& graph, FsiGraphTask& task,
-                       int owner_hint = 0);
 
 /// Stable computation of the single equal-time block G(k, k) via CLS and a
 /// *partial* BSOFI (one block row of the reduced inverse, O(b N^3) instead

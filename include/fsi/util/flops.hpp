@@ -11,7 +11,7 @@
 /// complexities.
 ///
 /// The counter is thread-local with a global registry so that totals include
-/// work done by OpenMP worker threads and mini-MPI ranks.  add() is a single
+/// work done by OpenMP worker threads and graph workers.  add() is a single
 /// thread-local increment — cheap enough to keep enabled in release builds.
 ///
 /// Since ISSUE 1 this is a façade over the unified observability registry

@@ -13,7 +13,7 @@
 namespace fsi::util {
 
 /// Enable FTZ + DAZ on this thread (x86 MXCSR bits 15 and 6).  No effect on
-/// non-x86 builds.  Each OpenMP / mini-MPI worker thread inherits the mode
+/// non-x86 builds.  Each OpenMP / executor worker thread inherits the mode
 /// only if it was set before thread creation, so call this first in main().
 /// Also records the mode in obs::metrics::Gauge::FlushToZero so telemetry
 /// fingerprints carry the FP environment.

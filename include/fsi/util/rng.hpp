@@ -2,8 +2,8 @@
 /// \file rng.hpp
 /// \brief Deterministic pseudo-random number generation.
 ///
-/// DQMC results must be reproducible run-to-run, and the mini-MPI layer needs
-/// independent streams per rank, so we use xoshiro256** (public-domain
+/// DQMC results must be reproducible run-to-run, and batches need an
+/// independent stream per task, so we use xoshiro256** (public-domain
 /// algorithm by Blackman & Vigna) with a splitmix64 seeder and a jump-free
 /// "stream id" mix instead of relying on std::mt19937 state-size overhead.
 
@@ -18,7 +18,7 @@ class Rng {
   using result_type = std::uint64_t;
 
   /// Seed the generator.  Different (seed, stream) pairs give independent
-  /// sequences; \p stream is used to derive per-rank / per-thread streams.
+  /// sequences; \p stream is used to derive per-task / per-thread streams.
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL,
                std::uint64_t stream = 0) noexcept {
     std::uint64_t x = seed ^ (0xbf58476d1ce4e5b9ULL * (stream + 1));

@@ -1,7 +1,5 @@
 #include "fsi/selinv/fsi.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <atomic>
 #include <memory>
@@ -13,7 +11,6 @@
 #include "fsi/obs/log.hpp"
 #include "fsi/obs/metrics.hpp"
 #include "fsi/obs/trace.hpp"
-#include "fsi/sched/executor.hpp"
 #include "fsi/sched/workspace_pool.hpp"
 #include "fsi/util/flops.hpp"
 #include "fsi/util/timer.hpp"
@@ -414,134 +411,13 @@ template SelectedInversion wrap<float>(const pcyclic::BlockOpsF&,
                                        const dense::MatrixF&, Pattern,
                                        const Selection&, bool);
 
-FsiEmit emit_fsi_tasks(sched::TaskGraph& graph, FsiGraphTask& task,
-                       int owner_hint) {
-  FSI_CHECK(task.m != nullptr && task.ops != nullptr,
-            "emit_fsi_tasks: task needs a matrix and BlockOps");
-  FSI_CHECK(&task.ops->matrix() == task.m,
-            "emit_fsi_tasks: BlockOps must wrap the same matrix");
-  FSI_CHECK(!task.patterns.empty(), "emit_fsi_tasks: need at least one pattern");
-  const PCyclicMatrix& m = *task.m;
-  const index_t l = m.num_blocks();
-  const index_t c = task.sel.c;
-  const index_t q = task.sel.q;
-  FSI_CHECK(c > 0 && l % c == 0, "emit_fsi_tasks: c must divide L");
-  FSI_CHECK(q >= 0 && q < c, "emit_fsi_tasks: q must be in [0, c)");
-  FSI_CHECK(task.sel.l_total == l,
-            "emit_fsi_tasks: selection does not match the matrix");
-  const index_t b = task.sel.b();
-  const index_t n = m.block_size();
-
-  task.cls_blocks.assign(static_cast<std::size_t>(b), dense::Matrix());
-  task.results.clear();
-  task.results.reserve(task.patterns.size());
-  for (Pattern p : task.patterns) task.results.emplace_back(p, n, task.sel);
-
-  FsiGraphTask* t = &task;
-  FsiEmit emit;
-  std::vector<sched::NodeId> cls_nodes;
-  cls_nodes.reserve(static_cast<std::size_t>(b));
-  for (index_t i = 0; i < b; ++i) {
-    cls_nodes.push_back(graph.add_node(
-        [t, c, q, i](int) {
-          FSI_OBS_SPAN("fsi.cls");
-          t->cls_blocks[static_cast<std::size_t>(i)] =
-              cluster_product(*t->m, c, q, i);
-        },
-        sched::Stage::Cls, owner_hint));
-  }
-  emit.bsofi = graph.add_node(
-      [t](int) {
-        FSI_OBS_SPAN("fsi.bsofi");
-        t->flops_at_cls_end = util::flops::total();
-        PCyclicMatrix reduced(std::move(t->cls_blocks));
-        t->gtilde = bsofi::invert(reduced);
-        reduced.release_blocks();  // the clustered products feed only BSOFI
-        t->flops_at_bsofi_end = util::flops::total();
-      },
-      sched::Stage::Bsofi, owner_hint);
-  for (sched::NodeId id : cls_nodes) graph.add_edge(id, emit.bsofi);
-
-  for (std::size_t p = 0; p < task.patterns.size(); ++p) {
-    const Pattern pat = task.patterns[p];
-    for (index_t u = 0; u < b; ++u) {
-      const sched::NodeId w = graph.add_node(
-          [t, p, pat, u](int) {
-            FSI_OBS_SPAN("fsi.wrap");
-            const dense::SerialKernels serial;
-            wrap_panel(*t->ops, t->gtilde, pat, t->sel, t->results[p], u);
-          },
-          sched::Stage::Wrap, owner_hint);
-      graph.add_edge(emit.bsofi, w);
-      emit.wrap_nodes.push_back(w);
-    }
-  }
-  return emit;
-}
-
 namespace {
-
-/// Resolve FsiOptions::Exec against the FSI_EXEC env flag.
-bool use_graph(const FsiOptions& opts) {
-  switch (opts.exec) {
-    case FsiOptions::Exec::Graph: return true;
-    case FsiOptions::Exec::OmpLoops: return false;
-    case FsiOptions::Exec::Auto: break;
-  }
-  // coarse_parallel == false is the paper's pure-MKL comparator: serial
-  // outer loops by definition, so the graph path never applies.
-  return opts.coarse_parallel && obs::env_flag("FSI_EXEC", true);
-}
-
-/// Graph workers for a standalone fsi() call: FSI_EXEC_WORKERS, or the
-/// caller's OMP team size (which a mini-MPI rank body has already had set
-/// to its per-rank allotment — nested graphs stay within their share).
-int graph_workers() {
-  const long w = obs::env_long("FSI_EXEC_WORKERS", 0);
-  return w > 0 ? static_cast<int>(w) : omp_get_max_threads();
-}
-
-/// Shared graph-mode driver of fsi() and fsi_multi(): emit, run on the
-/// persistent pool, derive FsiStats from per-stage busy sums (span sums —
-/// overlapped stages no longer double-count wall time) and the BSOFI node's
-/// flop fences.
-std::vector<SelectedInversion> fsi_graph_run(const PCyclicMatrix& m,
-                                             const pcyclic::BlockOps& ops,
-                                             const std::vector<Pattern>& patterns,
-                                             const Selection& sel,
-                                             FsiStats& stats) {
-  const std::uint64_t f0 = util::flops::total();
-  FsiGraphTask task;
-  task.m = &m;
-  task.ops = &ops;
-  task.sel = sel;
-  task.patterns = patterns;
-
-  sched::TaskGraph graph;
-  emit_fsi_tasks(graph, task);
-  const sched::GraphStats gs = sched::Executor::instance().run_graph(
-      graph, graph_workers(), sched::ExecOptions::from_env());
-  const std::uint64_t f_end = util::flops::total();
-
-  sched::recycle(std::move(task.gtilde));
-  for (std::size_t i = 0; i < patterns.size(); ++i)
-    residual_spot_check(m, task.results[i], patterns[i], sel);
-
-  stats.q = sel.q;
-  stats.seconds_cls = gs.of(sched::Stage::Cls).busy_seconds;
-  stats.seconds_bsofi = gs.of(sched::Stage::Bsofi).busy_seconds;
-  stats.seconds_wrap = gs.of(sched::Stage::Wrap).busy_seconds;
-  stats.flops_cls = task.flops_at_cls_end - f0;
-  stats.flops_bsofi = task.flops_at_bsofi_end - task.flops_at_cls_end;
-  stats.flops_wrap = f_end - task.flops_at_bsofi_end;
-  return std::move(task.results);
-}
 
 /// One mixed-precision attempt: fp32 CLS (promoted per product), fp64
 /// BSOFI, fp32 WRP (promoted stores), then the health gate.  True when the
 /// gate accepted; false (results discarded by the caller) when the run must
 /// be redone in fp64.  Stage accounting goes into \p stats exactly like the
-/// fp64 loop path's.
+/// fp64 path's.
 bool fsi_mixed_attempt(const PCyclicMatrix& m,
                        const std::vector<Pattern>& patterns,
                        const Selection& sel, bool coarse_parallel,
@@ -650,17 +526,8 @@ SelectedInversion fsi(const PCyclicMatrix& m, const pcyclic::BlockOps& ops,
       if (stats != nullptr) *stats = local;
       return std::move(results.front());
     }
-    // Gate tripped: fall through to the fp64 path below (loop or graph),
-    // with local freshly zeroed and mixed_fallback flagged.
-  }
-
-  if (use_graph(opts)) {
-    const bool fell_back = local.mixed_fallback;
-    std::vector<SelectedInversion> results =
-        fsi_graph_run(m, ops, {opts.pattern}, sel, local);
-    local.mixed_fallback = fell_back;
-    if (stats != nullptr) *stats = local;
-    return std::move(results.front());
+    // Gate tripped: fall through to the fp64 path below, with local
+    // freshly zeroed and mixed_fallback flagged.
   }
 
   PCyclicMatrix reduced = [&] {  // Stage 1: CLS.
@@ -730,12 +597,6 @@ std::vector<SelectedInversion> fsi_multi(const PCyclicMatrix& m,
       if (stats != nullptr) *stats = local;
       return out;
     }
-  }
-
-  if (use_graph(opts)) {
-    std::vector<SelectedInversion> out = fsi_graph_run(m, ops, patterns, sel, local);
-    if (stats != nullptr) *stats = local;
-    return out;
   }
 
   PCyclicMatrix reduced = [&] {

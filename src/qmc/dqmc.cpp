@@ -79,10 +79,9 @@ GreenBlocks compute_green_blocks(const HubbardModel& model, const HsField& field
   const pcyclic::BlockOps ops(m);
 
   // fsi_multi shares one CLS + BSOFI across all wrapping passes.  With
-  // coarse_parallel on, Exec::Auto lowers the call onto the task-graph
-  // executor (cluster products, BSOFI and panel walks as dependency-ordered
-  // nodes on the persistent pool); coarse_parallel == false keeps the
-  // strictly serial loop pipeline.  Either way the result is bit-identical.
+  // coarse_parallel on, the cluster products and panel walks run as OpenMP
+  // loops; coarse_parallel == false keeps the outer loops serial on threaded
+  // kernels.  Either way the result is bit-identical.
   selinv::FsiOptions opts;
   opts.c = c;
   opts.q = q;

@@ -5,29 +5,17 @@
 #include <algorithm>
 #include <chrono>
 
-#include "fsi/obs/env.hpp"
 #include "fsi/obs/metrics.hpp"
 #include "fsi/util/check.hpp"
 #include "fsi/util/timer.hpp"
 
 namespace fsi::sched {
 
-ExecOptions ExecOptions::from_env() {
-  ExecOptions o;
-  // FSI_SCHED governs stealing for both the batch scheduler and the graph
-  // executor — one switch freezes every static baseline at once.
-  o.work_stealing = obs::env_flag("FSI_SCHED", true);
-  o.backoff_us = static_cast<int>(
-      std::max(0L, obs::env_long("FSI_EXEC_BACKOFF_US", 50)));
-  return o;
-}
-
 // ---------------------------------------------------------------------------
 // GraphRunner
 
-GraphRunner::GraphRunner(const TaskGraph& graph, int num_workers,
-                         ExecOptions options)
-    : graph_(graph), num_workers_(num_workers), options_(options),
+GraphRunner::GraphRunner(const TaskGraph& graph, int num_workers)
+    : graph_(graph), num_workers_(num_workers),
       remaining_(static_cast<std::uint32_t>(graph.nodes_.size())),
       durations_(graph.nodes_.size(), 0.0) {
   FSI_CHECK(num_workers > 0, "GraphRunner: need at least one worker");
@@ -41,10 +29,9 @@ GraphRunner::GraphRunner(const TaskGraph& graph, int num_workers,
     deques_.push_back(std::make_unique<TaskDeque>());
     per_worker_.push_back(std::make_unique<PerWorker>());
   }
-  // Dependency-free nodes go to their owner-hint deque in emission order:
-  // the graph-level analogue of the batch scheduler's contiguous static
-  // preload.  Everything else enters a deque only when its last dependency
-  // retires.
+  // Dependency-free nodes go to their owner-hint deque in emission order
+  // (callers encode their static split in the hints).  Everything else
+  // enters a deque only when its last dependency retires.
   for (std::size_t i = 0; i < graph.nodes_.size(); ++i) {
     if (graph.nodes_[i].num_deps != 0) continue;
     const int hint = graph.nodes_[i].owner_hint;
@@ -104,7 +91,7 @@ void GraphRunner::run_worker(int worker) {
       continue;
     }
     if (remaining_.load(std::memory_order_acquire) == 0) break;
-    if (options_.work_stealing && num_workers_ > 1) {
+    if (num_workers_ > 1) {
       bool stole = false;
       for (int i = 1; i < num_workers_ && !stole; ++i) {
         TaskDeque& victim =
@@ -120,11 +107,7 @@ void GraphRunner::run_worker(int worker) {
       }
       if (stole) continue;
     }
-    if (options_.backoff_us > 0)
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options_.backoff_us));
-    else
-      std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::microseconds(kBackoffMicros));
   }
 
   std::exception_ptr err;
@@ -188,8 +171,7 @@ GraphStats GraphRunner::stats() const {
 /// Completion state of one dispatch: written by the job wrappers under the
 /// pool mutex, waited on by the dispatcher.
 struct Executor::Batch {
-  int pending = 0;                          // guarded by Executor::mu_
-  std::vector<std::exception_ptr> errors;   // one slot per job, lock-free
+  int pending = 0;  // guarded by Executor::mu_
 };
 
 Executor& Executor::instance() {
@@ -210,19 +192,16 @@ std::shared_ptr<Executor::Batch> Executor::dispatch(
     int n, const std::function<void(int)>& job) {
   auto batch = std::make_shared<Batch>();
   batch->pending = n;
-  batch->errors.resize(static_cast<std::size_t>(n));
   {
     std::lock_guard<std::mutex> lock(mu_);
     FSI_CHECK(!shutdown_, "Executor: dispatch after shutdown");
-    if (threads_.empty())
-      default_omp_threads_ = omp_get_max_threads();
     std::vector<std::size_t> chosen;
     chosen.reserve(static_cast<std::size_t>(n));
     for (std::size_t s = 0; s < slots_.size() && chosen.size() < static_cast<std::size_t>(n); ++s)
       if (!slots_[s]->busy) chosen.push_back(s);
     // Grow instead of waiting for busy workers: a dispatch from inside a
-    // pool worker (nested rank batches, graph helpers under a rank) must
-    // never block on the workers it is itself occupying.
+    // pool worker (a graph run inside a node body) must never block on the
+    // workers it is itself occupying.
     while (chosen.size() < static_cast<std::size_t>(n)) {
       slots_.push_back(std::make_unique<Slot>());
       const std::size_t s = slots_.size() - 1;
@@ -235,12 +214,7 @@ std::shared_ptr<Executor::Batch> Executor::dispatch(
       Slot* slot = slots_[chosen[static_cast<std::size_t>(i)]].get();
       slot->busy = true;
       slot->job = [this, batch, job, i, slot] {
-        try {
-          job(i);
-        } catch (...) {
-          batch->errors[static_cast<std::size_t>(i)] =
-              std::current_exception();
-        }
+        job(i);
         {
           std::lock_guard<std::mutex> lock(mu_);
           slot->busy = false;
@@ -249,7 +223,6 @@ std::shared_ptr<Executor::Batch> Executor::dispatch(
         done_cv_.notify_all();
       };
     }
-    ++dispatches_;
   }
   job_cv_.notify_all();
   return batch;
@@ -275,28 +248,12 @@ void Executor::worker_main(std::size_t slot_index) {
   }
 }
 
-void Executor::run_ranks(int n, const std::function<void(int)>& body,
-                         int omp_threads) {
-  FSI_CHECK(n > 0, "Executor: need at least one rank");
-  const int dflt = [&] {
-    std::lock_guard<std::mutex> lock(mu_);
-    return threads_.empty() ? omp_get_max_threads() : default_omp_threads_;
-  }();
-  auto batch = dispatch(n, [&, dflt](int i) {
-    omp_set_num_threads(omp_threads > 0 ? omp_threads : dflt);
-    body(i);
-  });
-  wait_batch(batch);
-  for (const std::exception_ptr& e : batch->errors)
-    if (e) std::rethrow_exception(e);
-}
-
 GraphStats Executor::run_graph(const TaskGraph& graph, int workers,
-                               const ExecOptions& options) {
+                               int omp_threads) {
   FSI_CHECK(workers > 0, "Executor: need at least one graph worker");
-  GraphRunner runner(graph, workers, options);
+  GraphRunner runner(graph, workers);
   const int caller_omp = omp_get_max_threads();
-  const int team = options.omp_threads > 0 ? options.omp_threads : caller_omp;
+  const int team = omp_threads > 0 ? omp_threads : caller_omp;
   std::shared_ptr<Batch> helpers;
   if (workers > 1) {
     helpers = dispatch(workers - 1, [&runner, team](int i) {
@@ -311,27 +268,22 @@ GraphStats Executor::run_graph(const TaskGraph& graph, int workers,
       }
     });
   }
-  if (options.omp_threads > 0) omp_set_num_threads(options.omp_threads);
+  if (omp_threads > 0) omp_set_num_threads(omp_threads);
   try {
     runner.run_worker(0);
   } catch (...) {
     if (helpers) wait_batch(helpers);
-    if (options.omp_threads > 0) omp_set_num_threads(caller_omp);
+    if (omp_threads > 0) omp_set_num_threads(caller_omp);
     throw;
   }
   if (helpers) wait_batch(helpers);
-  if (options.omp_threads > 0) omp_set_num_threads(caller_omp);
+  if (omp_threads > 0) omp_set_num_threads(caller_omp);
   return runner.stats();
 }
 
 int Executor::pool_size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return static_cast<int>(slots_.size());
-}
-
-std::uint64_t Executor::dispatch_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dispatches_;
 }
 
 }  // namespace fsi::sched

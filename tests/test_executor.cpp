@@ -1,6 +1,6 @@
 // Tests of the dependency-aware task-graph executor: TaskGraph validation,
 // GraphRunner ordering / stealing / cancellation semantics, and the
-// persistent Executor pool (concurrent rank dispatch, pool reuse, nested
+// persistent Executor pool (concurrent helpers, pool reuse, nested
 // dispatch).
 
 #include <gtest/gtest.h>
@@ -17,13 +17,6 @@
 namespace {
 
 using namespace fsi;
-
-sched::ExecOptions quiet_options(bool stealing = true) {
-  sched::ExecOptions o;          // explicit, not from_env(): tests must not
-  o.work_stealing = stealing;    // depend on the ambient FSI_SCHED value
-  o.backoff_us = 0;
-  return o;
-}
 
 // ---------------------------------------------------------------------------
 // TaskGraph
@@ -65,7 +58,7 @@ TEST(TaskGraph, ExecutorRejectsCyclicGraphInsteadOfDeadlocking) {
   g.add_edge(a, b);
   g.add_edge(b, a);
   EXPECT_THROW(
-      sched::Executor::instance().run_graph(g, 2, quiet_options()),
+      sched::Executor::instance().run_graph(g, 2),
       util::CheckError);
 }
 
@@ -75,7 +68,7 @@ TEST(TaskGraph, ExecutorRejectsCyclicGraphInsteadOfDeadlocking) {
 TEST(GraphRunner, EmptyGraphCompletesImmediately) {
   sched::TaskGraph g;
   const sched::GraphStats gs =
-      sched::Executor::instance().run_graph(g, 4, quiet_options());
+      sched::Executor::instance().run_graph(g, 4);
   EXPECT_EQ(gs.nodes, 0u);
 }
 
@@ -88,7 +81,7 @@ TEST(GraphRunner, EveryNodeRunsExactlyOnce) {
     g.add_node([&runs, i](int) { runs[static_cast<std::size_t>(i)]++; },
                sched::Stage::Other, i % 3);
   const sched::GraphStats gs =
-      sched::Executor::instance().run_graph(g, 3, quiet_options());
+      sched::Executor::instance().run_graph(g, 3);
   EXPECT_EQ(gs.nodes, static_cast<std::uint64_t>(kNodes));
   for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
 }
@@ -130,7 +123,7 @@ TEST(GraphRunner, DependenciesOrderExecution) {
     g.add_edge(mid2, sink);
   }
   const sched::GraphStats gs =
-      sched::Executor::instance().run_graph(g, 4, quiet_options());
+      sched::Executor::instance().run_graph(g, 4);
   EXPECT_TRUE(ordered.load());
   EXPECT_EQ(gs.nodes, static_cast<std::uint64_t>(kLanes) * 4);
   EXPECT_EQ(gs.of(sched::Stage::Build).nodes, static_cast<std::uint64_t>(kLanes));
@@ -146,7 +139,7 @@ TEST(GraphRunner, MoreWorkersThanNodes) {
   g.add_node([&runs](int) { runs++; });
   g.add_node([&runs](int) { runs++; });
   const sched::GraphStats gs =
-      sched::Executor::instance().run_graph(g, 8, quiet_options());
+      sched::Executor::instance().run_graph(g, 8);
   EXPECT_EQ(runs.load(), 2);
   EXPECT_EQ(gs.nodes, 2u);
 }
@@ -161,30 +154,10 @@ TEST(GraphRunner, ThrowingBodyCancelsRunWithoutDeadlock) {
         g.add_node([&downstream_ran](int) { downstream_ran++; });
     g.add_edge(bad, succ);
   }
-  EXPECT_THROW(sched::Executor::instance().run_graph(g, 2, quiet_options()),
+  EXPECT_THROW(sched::Executor::instance().run_graph(g, 2),
                std::runtime_error);
   // Cancel-and-drain: the failing node's successors were retired, not run.
   EXPECT_EQ(downstream_ran.load(), 0);
-}
-
-TEST(GraphRunner, StealingDisabledPinsNodesToOwner) {
-  constexpr int kWorkers = 2, kNodes = 12;
-  sched::TaskGraph g;
-  std::vector<std::atomic<int>> ran_by(kNodes);
-  for (auto& r : ran_by) r.store(-1);
-  for (int i = 0; i < kNodes; ++i)
-    g.add_node([&ran_by, i](int worker) {
-      ran_by[static_cast<std::size_t>(i)] = worker;
-    }, sched::Stage::Other, i % kWorkers);
-  sched::GraphRunner runner(g, kWorkers, quiet_options(/*stealing=*/false));
-  std::vector<std::thread> team;
-  for (int w = 0; w < kWorkers; ++w)
-    team.emplace_back([&runner, w] { runner.run_worker(w); });
-  for (auto& t : team) t.join();
-  for (int i = 0; i < kNodes; ++i)
-    EXPECT_EQ(ran_by[static_cast<std::size_t>(i)].load(), i % kWorkers)
-        << "node " << i << " migrated with stealing disabled";
-  EXPECT_EQ(runner.stats().stolen_nodes, 0u);
 }
 
 TEST(GraphRunner, IdleWorkerStealsFromStraggler) {
@@ -202,7 +175,7 @@ TEST(GraphRunner, IdleWorkerStealsFromStraggler) {
     g.add_node([&ran_by_1](int worker) {
       if (worker == 1) ran_by_1++;
     }, sched::Stage::Other, 0);
-  sched::GraphRunner runner(g, 2, quiet_options());
+  sched::GraphRunner runner(g, 2);
   std::thread helper([&runner] { runner.run_worker(1); });
   runner.run_worker(0);
   helper.join();
@@ -216,62 +189,54 @@ TEST(GraphRunner, IdleWorkerStealsFromStraggler) {
 // ---------------------------------------------------------------------------
 // Executor (persistent pool)
 
-TEST(Executor, RunRanksExecutesBodiesConcurrently) {
-  // Rank bodies rendezvous: each arrives and waits for all others, which
-  // terminates only if all n bodies run at the same time (mini-MPI barrier
-  // semantics — queued-not-concurrent would deadlock here).
-  constexpr int kRanks = 4;
+TEST(Executor, RunGraphHelpersRunConcurrently) {
+  // One node per worker, each preloaded on its own worker's deque; every
+  // body waits for all others to arrive, which terminates only if the
+  // caller and all pool helpers run at the same time.
+  constexpr int kWorkers = 4;
+  sched::TaskGraph g;
   std::atomic<int> arrived{0};
-  sched::Executor::instance().run_ranks(kRanks, [&arrived](int) {
-    arrived++;
-    while (arrived.load() < kRanks)
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  });
-  EXPECT_EQ(arrived.load(), kRanks);
+  for (int w = 0; w < kWorkers; ++w)
+    g.add_node([&arrived](int) {
+      arrived++;
+      while (arrived.load() < kWorkers)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }, sched::Stage::Other, w);
+  const sched::GraphStats gs =
+      sched::Executor::instance().run_graph(g, kWorkers);
+  EXPECT_EQ(arrived.load(), kWorkers);
+  EXPECT_EQ(gs.stolen_nodes, 0u);
 }
 
 TEST(Executor, PoolPersistsAcrossBatches) {
   sched::Executor& ex = sched::Executor::instance();
   std::atomic<int> runs{0};
-  ex.run_ranks(3, [&runs](int) { runs++; });
+  sched::TaskGraph g;
+  for (int i = 0; i < 3; ++i)
+    g.add_node([&runs](int) { runs++; }, sched::Stage::Other, i);
+  ex.run_graph(g, 3);
   const int size_after_first = ex.pool_size();
-  const std::uint64_t dispatches_before = ex.dispatch_count();
-  for (int batch = 0; batch < 5; ++batch)
-    ex.run_ranks(3, [&runs](int) { runs++; });
+  for (int batch = 0; batch < 5; ++batch) ex.run_graph(g, 3);
   EXPECT_EQ(runs.load(), 3 + 5 * 3);
-  // Same-width batches reuse the existing workers instead of spawning.
+  // Same-width runs reuse the existing helpers instead of spawning.
   EXPECT_EQ(ex.pool_size(), size_after_first);
-  EXPECT_EQ(ex.dispatch_count(), dispatches_before + 5);
 }
 
-TEST(Executor, RunRanksPropagatesBodyException) {
-  std::atomic<int> survivors{0};
-  EXPECT_THROW(
-      sched::Executor::instance().run_ranks(3, [&survivors](int rank) {
-        if (rank == 1) throw std::runtime_error("rank failure");
-        survivors++;
-      }),
-      std::runtime_error);
-  // The other ranks still ran to completion; the pool is not poisoned.
-  EXPECT_EQ(survivors.load(), 2);
-  std::atomic<int> again{0};
-  sched::Executor::instance().run_ranks(2, [&again](int) { again++; });
-  EXPECT_EQ(again.load(), 2);
-}
-
-TEST(Executor, NestedGraphInsideRankBatchDoesNotDeadlock) {
-  // A graph dispatched from inside a rank body (exactly what multi_gf does
-  // under a DQMC driver) must grow the pool instead of waiting for the busy
-  // rank workers.
-  constexpr int kRanks = 2, kNodesPerRank = 6;
+TEST(Executor, NestedGraphInsideGraphNodeDoesNotDeadlock) {
+  // A graph run from inside a node body must grow the pool instead of
+  // waiting for the helpers the outer run is occupying.
+  constexpr int kOuter = 2, kNodesPerInner = 6;
   std::atomic<int> total{0};
-  sched::Executor::instance().run_ranks(kRanks, [&total](int) {
-    sched::TaskGraph g;
-    for (int i = 0; i < kNodesPerRank; ++i)
-      g.add_node([&total](int) { total++; });
-    sched::Executor::instance().run_graph(g, 2, quiet_options());
-  });
-  EXPECT_EQ(total.load(), kRanks * kNodesPerRank);
+  sched::TaskGraph outer;
+  for (int i = 0; i < kOuter; ++i)
+    outer.add_node([&total](int) {
+      sched::TaskGraph inner;
+      for (int j = 0; j < kNodesPerInner; ++j)
+        inner.add_node([&total](int) { total++; });
+      sched::Executor::instance().run_graph(inner, 2);
+    }, sched::Stage::Other, i);
+  sched::Executor::instance().run_graph(outer, kOuter);
+  EXPECT_EQ(total.load(), kOuter * kNodesPerInner);
 }
 
 TEST(Executor, GraphStatsReportBusyAndReadyTelemetry) {
@@ -281,7 +246,7 @@ TEST(Executor, GraphStatsReportBusyAndReadyTelemetry) {
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }, sched::Stage::Cls);
   const sched::GraphStats gs =
-      sched::Executor::instance().run_graph(g, 2, quiet_options());
+      sched::Executor::instance().run_graph(g, 2);
   EXPECT_EQ(gs.nodes, 8u);
   EXPECT_GT(gs.busy_max_seconds, 0.0);
   EXPECT_GT(gs.busy_mean_seconds, 0.0);

@@ -8,7 +8,6 @@
 
 #include "fsi/dense/norms.hpp"
 #include "fsi/pcyclic/explicit_inverse.hpp"
-#include "fsi/sched/executor.hpp"
 #include "fsi/selinv/fsi.hpp"
 #include "testing.hpp"
 
@@ -175,31 +174,6 @@ TEST(WrapPanel, MatchesDenseInverseForEveryQAndClusterSize) {
     }
   }
   EXPECT_TRUE(crossed_wrap);
-}
-
-TEST(WrapPanel, GraphRunIsBitIdenticalOnOneAndFourWorkers) {
-  util::Rng rng(412);
-  PCyclicMatrix m = PCyclicMatrix::random(24, 20, rng);
-  const pcyclic::BlockOps ops(m);
-  auto run = [&](int workers) {
-    FsiGraphTask task;
-    task.m = &m;
-    task.ops = &ops;
-    task.sel = Selection(20, 5, 3);
-    task.patterns = {pcyclic::Pattern::AllDiagonals, pcyclic::Pattern::Rows,
-                     pcyclic::Pattern::Columns};
-    sched::TaskGraph graph;
-    emit_fsi_tasks(graph, task);
-    sched::Executor::instance().run_graph(graph, workers, sched::ExecOptions{});
-    return std::move(task.results);
-  };
-  const auto one = run(1);
-  const auto four = run(4);
-  ASSERT_EQ(one.size(), four.size());
-  for (std::size_t p = 0; p < one.size(); ++p)
-    for (const auto& [k, col] : one[p].keys())
-      expect_close(one[p].at(k, col), four[p].at(k, col), 0.0,
-                   "1 vs 4 graph workers");
 }
 
 TEST(Fsi, RandomQIsDrawnFromRng) {

@@ -63,67 +63,6 @@ TEST(FsiMulti, SharedReductionCostsOneClsAndBsofi) {
   EXPECT_GT(three.flops_wrap, one.flops_wrap);
 }
 
-TEST(FsiMulti, GraphExecutorBitIdenticalToOmpLoops) {
-  util::Rng rng(96);
-  PCyclicMatrix m = PCyclicMatrix::random(5, 12, rng);
-  pcyclic::BlockOps ops(m);
-  const std::vector<pcyclic::Pattern> patterns{
-      pcyclic::Pattern::AllDiagonals, pcyclic::Pattern::Rows,
-      pcyclic::Pattern::Columns};
-
-  selinv::FsiOptions loops;
-  loops.c = 4;
-  loops.exec = selinv::FsiOptions::Exec::OmpLoops;
-  util::Rng rng_loops(7);
-  selinv::FsiStats stats_loops;
-  const auto ref =
-      selinv::fsi_multi(m, ops, patterns, loops, rng_loops, &stats_loops);
-
-  selinv::FsiOptions graph = loops;
-  graph.exec = selinv::FsiOptions::Exec::Graph;
-  util::Rng rng_graph(7);
-  selinv::FsiStats stats_graph;
-  const auto got =
-      selinv::fsi_multi(m, ops, patterns, graph, rng_graph, &stats_graph);
-
-  // Same rng stream -> same wrapping offset q, and every entry must agree
-  // to the last bit: graph nodes run the identical serial kernel sequences
-  // on disjoint outputs.
-  EXPECT_EQ(stats_graph.q, stats_loops.q);
-  ASSERT_EQ(got.size(), ref.size());
-  for (std::size_t p = 0; p < patterns.size(); ++p) {
-    ASSERT_EQ(got[p].size(), ref[p].size());
-    for (const auto& [k, col] : ref[p].keys())
-      expect_close(got[p].at(k, col), ref[p].at(k, col), 0.0,
-                   pcyclic::pattern_name(patterns[p]));
-  }
-  // Graph-mode stage seconds come from node-span sums and must be populated.
-  EXPECT_GT(stats_graph.seconds_cls, 0.0);
-  EXPECT_GT(stats_graph.seconds_bsofi, 0.0);
-  EXPECT_GT(stats_graph.seconds_wrap, 0.0);
-  EXPECT_EQ(stats_graph.flops_cls, stats_loops.flops_cls);
-  EXPECT_EQ(stats_graph.flops_bsofi, stats_loops.flops_bsofi);
-  EXPECT_EQ(stats_graph.flops_wrap, stats_loops.flops_wrap);
-}
-
-TEST(FsiMulti, SinglePatternGraphMatchesLoops) {
-  util::Rng rng(97);
-  PCyclicMatrix m = PCyclicMatrix::random(4, 10, rng);
-  pcyclic::BlockOps ops(m);
-  selinv::FsiOptions opts;
-  opts.c = 5;
-  opts.q = 3;
-  opts.pattern = pcyclic::Pattern::Columns;
-
-  opts.exec = selinv::FsiOptions::Exec::OmpLoops;
-  const auto ref = selinv::fsi(m, ops, opts, rng);
-  opts.exec = selinv::FsiOptions::Exec::Graph;
-  const auto got = selinv::fsi(m, ops, opts, rng);
-  ASSERT_EQ(got.size(), ref.size());
-  for (const auto& [k, col] : ref.keys())
-    expect_close(got.at(k, col), ref.at(k, col), 0.0, "columns");
-}
-
 TEST(FsiMulti, EmptyPatternListThrows) {
   util::Rng rng(93);
   PCyclicMatrix m = PCyclicMatrix::random(3, 4, rng);

@@ -100,13 +100,13 @@ TEST(ObsTrace, ThreadAttribution) {
 
 TEST(ObsTrace, CounterMergeAcrossThreads) {
   namespace m = obs::metrics;
-  m::reset(m::Counter::MpiBytes);
-  m::Scope scope(m::Counter::MpiBytes);
+  m::reset(m::Counter::ServeErrors);
+  m::Scope scope(m::Counter::ServeErrors);
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t)
-    workers.emplace_back([] { m::add(m::Counter::MpiBytes, 25); });
+    workers.emplace_back([] { m::add(m::Counter::ServeErrors, 25); });
   for (auto& w : workers) w.join();
-  m::add(m::Counter::MpiBytes, 1);
+  m::add(m::Counter::ServeErrors, 1);
   EXPECT_EQ(scope.elapsed(), 101u);
 
   // The flops façade feeds the same registry.

@@ -1,18 +1,17 @@
-// Tests of the fsi::sched work-stealing batch scheduler and workspace pool,
-// and of the determinism + pool-reuse guarantees of the scheduler-driven
-// run_parallel_fsi.
+// Tests of the fsi::sched task deque and workspace pool, and of the
+// determinism + pool-reuse guarantees of the task-graph batch engine
+// (run_fsi_batch and run_parallel_fsi) against a serial reference.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <thread>
+#include <cmath>
+#include <string>
 #include <vector>
 
 #include "fsi/qmc/multi_gf.hpp"
-#include "fsi/sched/scheduler.hpp"
 #include "fsi/sched/task_queue.hpp"
 #include "fsi/sched/workspace_pool.hpp"
+#include "fsi/selinv/fsi.hpp"
 
 namespace {
 
@@ -50,90 +49,6 @@ TEST(TaskDeque, StealHalfTakesBackHalfInOrder) {
   ASSERT_TRUE(q.pop(task));
   EXPECT_EQ(q.steal_half(loot), 0u);
   EXPECT_TRUE(loot.empty());
-}
-
-// ---------------------------------------------------------------------------
-// BatchScheduler
-
-void run_all_workers(sched::BatchScheduler& s,
-                     const std::function<void(int, std::uint32_t)>& body) {
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(s.workers()));
-  for (int w = 0; w < s.workers(); ++w)
-    threads.emplace_back(
-        [&s, &body, w] { s.run_worker(w, [&](std::uint32_t t) { body(w, t); }); });
-  for (auto& t : threads) t.join();
-}
-
-TEST(BatchScheduler, EveryTaskRunsExactlyOnce) {
-  constexpr std::uint32_t kTasks = 64;
-  sched::SchedulerOptions opts;
-  opts.backoff_us = 0;
-  sched::BatchScheduler s(4, kTasks, opts);
-  std::vector<std::atomic<int>> ran(kTasks);
-  run_all_workers(s, [&](int, std::uint32_t t) {
-    ran[t].fetch_add(1, std::memory_order_relaxed);
-  });
-  std::uint64_t executed = 0;
-  for (int w = 0; w < s.workers(); ++w) executed += s.stats(w).executed;
-  EXPECT_EQ(executed, kTasks);
-  for (std::uint32_t t = 0; t < kTasks; ++t) EXPECT_EQ(ran[t].load(), 1);
-}
-
-TEST(BatchScheduler, SkewedBatchTriggersStealing) {
-  // All the slow tasks sit in worker 0's preload; the other workers finish
-  // their shares instantly and must steal to keep the batch moving.
-  constexpr std::uint32_t kTasks = 16;
-  sched::SchedulerOptions opts;
-  opts.backoff_us = 10;
-  sched::BatchScheduler s(4, kTasks, opts);
-  run_all_workers(s, [&](int, std::uint32_t t) {
-    if (t < kTasks / 4)  // worker 0's contiguous preload
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  });
-  EXPECT_GT(s.total_steal_batches(), 0u);
-  EXPECT_GT(s.total_stolen_tasks(), 0u);
-}
-
-TEST(BatchScheduler, StaticModeNeverSteals) {
-  constexpr std::uint32_t kTasks = 16;
-  sched::SchedulerOptions opts;
-  opts.work_stealing = false;
-  opts.backoff_us = 10;
-  sched::BatchScheduler s(4, kTasks, opts);
-  std::vector<std::atomic<int>> owner(kTasks);
-  run_all_workers(s, [&](int w, std::uint32_t t) {
-    owner[t].store(w, std::memory_order_relaxed);
-    if (t < kTasks / 4) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  });
-  EXPECT_EQ(s.total_steal_batches(), 0u);
-  EXPECT_EQ(s.total_stolen_tasks(), 0u);
-  // Exactly the static contiguous split: task t belongs to worker t*W/T.
-  for (std::uint32_t t = 0; t < kTasks; ++t)
-    EXPECT_EQ(owner[t].load(), static_cast<int>(t / (kTasks / 4)));
-  for (int w = 0; w < 4; ++w) EXPECT_EQ(s.stats(w).executed, kTasks / 4);
-}
-
-TEST(BatchScheduler, UnevenTaskCountCoversAllTasks) {
-  sched::SchedulerOptions opts;
-  opts.backoff_us = 0;
-  sched::BatchScheduler s(3, 7, opts);  // 7 tasks, 3 workers
-  std::vector<std::atomic<int>> ran(7);
-  run_all_workers(s, [&](int, std::uint32_t t) {
-    ran[t].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (std::uint32_t t = 0; t < 7; ++t) EXPECT_EQ(ran[t].load(), 1);
-}
-
-TEST(BatchScheduler, MoreWorkersThanTasks) {
-  sched::SchedulerOptions opts;
-  opts.backoff_us = 0;
-  sched::BatchScheduler s(6, 2, opts);
-  std::atomic<int> ran{0};
-  run_all_workers(s, [&](int, std::uint32_t) {
-    ran.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(ran.load(), 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -197,44 +112,145 @@ TEST(WorkspacePool, RecyclingEmptyMatrixIsANoOp) {
 }
 
 // ---------------------------------------------------------------------------
-// run_parallel_fsi: determinism + pool reuse
+// run_parallel_fsi / run_fsi_batch: determinism + pool reuse
 
-qmc::MultiGfOptions batch_options(int ranks, int threads,
-                                  qmc::Schedule schedule) {
+qmc::MultiGfOptions batch_options(int ranks, int threads) {
   qmc::MultiGfOptions opt;
   opt.num_matrices = 5;  // deliberately indivisible by every rank count used
   opt.num_ranks = ranks;
   opt.omp_threads_per_rank = threads;
   opt.cluster_size = 2;
   opt.seed = 321;
-  opt.schedule = schedule;
   return opt;
 }
 
+/// The serial reference of one batch task: selinv::fsi_multi on the serial
+/// pure-kernel pipeline (coarse_parallel = false) per spin, then the same
+/// measurement accumulators the batch engine's measure node calls.
+qmc::Measurements serial_reference_task(const qmc::HubbardModel& model,
+                                        const qmc::FsiBatchTask& task,
+                                        dense::index_t c) {
+  qmc::Measurements meas(model.params().l,
+                         model.lattice().num_distance_classes());
+  meas.add_sample(1.0);
+  selinv::FsiOptions opts;
+  opts.c = c;
+  opts.q = task.q;
+  opts.coarse_parallel = false;
+  opts.precision = Precision::Fp64;
+  std::vector<pcyclic::Pattern> patterns{pcyclic::Pattern::AllDiagonals};
+  if (task.heavy) {
+    patterns.push_back(pcyclic::Pattern::Rows);
+    patterns.push_back(pcyclic::Pattern::Columns);
+  }
+  util::Rng unused(0);  // q is fixed
+  std::vector<pcyclic::SelectedInversion> spin[2];
+  for (const qmc::Spin s : {qmc::Spin::Up, qmc::Spin::Down}) {
+    const pcyclic::PCyclicMatrix m = model.build_m(task.field, s);
+    const pcyclic::BlockOps ops(m);
+    spin[s == qmc::Spin::Up ? 0 : 1] =
+        selinv::fsi_multi(m, ops, patterns, opts, unused);
+  }
+  const auto& up = spin[0];
+  const auto& dn = spin[1];
+  qmc::accumulate_equal_time(model.lattice(), up[0], dn[0], model.params().t,
+                             1.0, false, meas);
+  if (task.heavy)
+    qmc::accumulate_spxx(model.lattice(), up[1], up[2], dn[1], dn[2], 1.0,
+                         false, meas);
+  return meas;
+}
+
+/// The tasks run_parallel_fsi derives from its options: every field from
+/// one stream seeded by opt.seed, each q from (seed, task index), the
+/// leading ceil(heavy_fraction * m) tasks heavy.
+std::vector<qmc::FsiBatchTask> parallel_fsi_tasks(
+    const qmc::HubbardModel& model, const qmc::MultiGfOptions& opt) {
+  const dense::index_t m = opt.num_matrices;
+  const auto heavy = static_cast<dense::index_t>(
+      std::ceil(opt.heavy_fraction * static_cast<double>(m)));
+  std::vector<qmc::FsiBatchTask> tasks;
+  util::Rng root(opt.seed);
+  for (dense::index_t t = 0; t < m; ++t)
+    tasks.push_back({qmc::HsField(model.params().l, model.num_sites(), root), 0,
+                     t < heavy});
+  for (dense::index_t t = 0; t < m; ++t) {
+    util::Rng task_rng(opt.seed, static_cast<std::uint64_t>(t) + 1);
+    tasks[static_cast<std::size_t>(t)].q = static_cast<dense::index_t>(
+        task_rng.below(static_cast<std::uint64_t>(opt.cluster_size)));
+  }
+  return tasks;
+}
+
+void expect_bit_identical(const qmc::Measurements& got,
+                          const qmc::Measurements& want, const std::string& what) {
+  const std::vector<double> g = got.serialize();
+  const std::vector<double> w = want.serialize();
+  ASSERT_EQ(g.size(), w.size()) << what;
+  for (std::size_t i = 0; i < w.size(); ++i)
+    EXPECT_EQ(g[i], w[i]) << what << " i=" << i;
+}
+
+TEST(MultiGfSched, BatchEngineBitIdenticalToSerialReference) {
+  fsi::qmc::HubbardParams p;
+  p.l = 6;
+  p.u = 3.0;
+  const qmc::HubbardModel model(qmc::Lattice::chain(3), p);
+  const dense::index_t l = p.l;
+  const dense::index_t dmax = model.lattice().num_distance_classes();
+
+  for (const double heavy_fraction : {1.0, 0.25}) {
+    qmc::MultiGfOptions opt = batch_options(1, 0);
+    opt.num_matrices = 6;
+    opt.heavy_fraction = heavy_fraction;
+    const std::vector<qmc::FsiBatchTask> tasks = parallel_fsi_tasks(model, opt);
+    std::vector<qmc::Measurements> want;
+    qmc::Measurements want_global(l, dmax);
+    for (const qmc::FsiBatchTask& task : tasks) {
+      want.push_back(serial_reference_task(model, task, opt.cluster_size));
+      want_global.merge(want.back());
+    }
+
+    for (const int workers : {1, 2, 4}) {
+      const std::string cfg = "workers=" + std::to_string(workers) +
+                              " heavy_fraction=" +
+                              std::to_string(heavy_fraction);
+      opt.num_ranks = workers;
+      expect_bit_identical(run_parallel_fsi(model, opt).global, want_global,
+                           "run_parallel_fsi " + cfg);
+
+      qmc::FsiBatchOptions batch;
+      batch.num_workers = workers;
+      batch.cluster_size = opt.cluster_size;
+      batch.precision = Precision::Fp64;
+      const std::vector<qmc::Measurements> got =
+          qmc::run_fsi_batch(model, tasks, batch);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t t = 0; t < want.size(); ++t)
+        expect_bit_identical(got[t], want[t],
+                             "run_fsi_batch " + cfg + " task=" +
+                                 std::to_string(t));
+    }
+  }
+}
+
 TEST(MultiGfSched, BitIdenticalAcrossRanksThreadsAndSchedules) {
+  // Workers x OpenMP threads per worker (the Fig. 9 axes) and steal order
+  // never change the merged result.
   fsi::qmc::HubbardParams p;
   p.l = 6;
   p.u = 3.0;
   const qmc::HubbardModel model(qmc::Lattice::chain(3), p);
 
-  const auto baseline =
-      run_parallel_fsi(model, batch_options(1, 1, qmc::Schedule::WorkStealing));
+  const auto baseline = run_parallel_fsi(model, batch_options(1, 1));
   const std::vector<double> expect = baseline.global.serialize();
   ASSERT_FALSE(expect.empty());
 
   const struct {
     int ranks, threads;
-    qmc::Schedule schedule;
-  } configs[] = {
-      {3, 1, qmc::Schedule::WorkStealing},
-      {2, 2, qmc::Schedule::WorkStealing},
-      {5, 1, qmc::Schedule::WorkStealing},
-      {2, 1, qmc::Schedule::Static},
-      {1, 2, qmc::Schedule::Static},
-  };
+  } configs[] = {{3, 1}, {2, 2}, {5, 1}, {1, 2}, {4, 1}};
   for (const auto& cfg : configs) {
-    const auto r = run_parallel_fsi(
-        model, batch_options(cfg.ranks, cfg.threads, cfg.schedule));
+    const auto r = run_parallel_fsi(model, batch_options(cfg.ranks, cfg.threads));
     const std::vector<double> got = r.global.serialize();
     ASSERT_EQ(got.size(), expect.size());
     for (std::size_t i = 0; i < expect.size(); ++i)
@@ -243,53 +259,12 @@ TEST(MultiGfSched, BitIdenticalAcrossRanksThreadsAndSchedules) {
   }
 }
 
-TEST(MultiGfSched, FineGranularityBitIdenticalToCoarseAcrossRanks) {
-  fsi::qmc::HubbardParams p;
-  p.l = 6;
-  p.u = 3.0;
-  const qmc::HubbardModel model(qmc::Lattice::chain(3), p);
-
-  // Coarse single-rank run is the reference: plain Alg. 3 with no graph
-  // executor involved at any level.
-  auto ref_opt = batch_options(1, 1, qmc::Schedule::WorkStealing);
-  ref_opt.granularity = qmc::Granularity::Coarse;
-  const auto baseline = run_parallel_fsi(model, ref_opt);
-  const std::vector<double> expect = baseline.global.serialize();
-  ASSERT_FALSE(expect.empty());
-
-  const struct {
-    int ranks;
-    qmc::Schedule schedule;
-    qmc::Granularity granularity;
-  } configs[] = {
-      {1, qmc::Schedule::WorkStealing, qmc::Granularity::Fine},
-      {2, qmc::Schedule::WorkStealing, qmc::Granularity::Fine},
-      {4, qmc::Schedule::WorkStealing, qmc::Granularity::Fine},
-      {2, qmc::Schedule::Static, qmc::Granularity::Fine},
-      {4, qmc::Schedule::Static, qmc::Granularity::Fine},
-      {2, qmc::Schedule::WorkStealing, qmc::Granularity::Coarse},
-  };
-  for (const auto& cfg : configs) {
-    auto opt = batch_options(cfg.ranks, 1, cfg.schedule);
-    opt.granularity = cfg.granularity;
-    const auto r = run_parallel_fsi(model, opt);
-    const std::vector<double> got = r.global.serialize();
-    ASSERT_EQ(got.size(), expect.size());
-    for (std::size_t i = 0; i < expect.size(); ++i)
-      EXPECT_EQ(got[i], expect[i])
-          << "ranks=" << cfg.ranks << " fine="
-          << (cfg.granularity == qmc::Granularity::Fine) << " steal="
-          << (cfg.schedule == qmc::Schedule::WorkStealing) << " i=" << i;
-  }
-}
-
-TEST(MultiGfSched, FineGranularityReportsGraphTelemetry) {
+TEST(MultiGfSched, ReportsGraphTelemetry) {
   fsi::qmc::HubbardParams p;
   p.l = 6;
   p.u = 2.0;
   const qmc::HubbardModel model(qmc::Lattice::chain(3), p);
-  auto opt = batch_options(2, 1, qmc::Schedule::WorkStealing);
-  opt.granularity = qmc::Granularity::Fine;
+  const auto opt = batch_options(2, 1);
 
   const auto r = run_parallel_fsi(model, opt);
   EXPECT_DOUBLE_EQ(r.global.samples(), 5.0);
@@ -306,14 +281,6 @@ TEST(MultiGfSched, FineGranularityReportsGraphTelemetry) {
   EXPECT_GT(r.sched.stage_measure_seconds, 0.0);
   EXPECT_EQ(r.sched.busy_seconds.size(), 2u);
   EXPECT_GT(r.sched.busy_max_seconds, 0.0);
-
-  // Coarse mode keeps the graph fields at zero but still exports the
-  // per-rank busy vector.
-  opt.granularity = qmc::Granularity::Coarse;
-  const auto coarse = run_parallel_fsi(model, opt);
-  EXPECT_EQ(coarse.sched.graph_nodes, 0u);
-  EXPECT_DOUBLE_EQ(coarse.sched.critical_path_seconds, 0.0);
-  EXPECT_EQ(coarse.sched.busy_seconds.size(), 2u);
 }
 
 TEST(MultiGfSched, SecondSameShapeBatchHitsPoolWithoutFreshAllocations) {
@@ -321,7 +288,7 @@ TEST(MultiGfSched, SecondSameShapeBatchHitsPoolWithoutFreshAllocations) {
   p.l = 6;
   p.u = 2.0;
   const qmc::HubbardModel model(qmc::Lattice::chain(3), p);
-  auto opt = batch_options(1, 1, qmc::Schedule::WorkStealing);
+  auto opt = batch_options(1, 1);
 
   if (!sched::WorkspacePool::global().enabled())
     GTEST_SKIP() << "FSI_SCHED_POOL disabled in the environment";
@@ -342,7 +309,7 @@ TEST(MultiGfSched, MultiRankSteadyStateHitRateIsHigh) {
   p.l = 6;
   p.u = 2.0;
   const qmc::HubbardModel model(qmc::Lattice::chain(3), p);
-  auto opt = batch_options(3, 1, qmc::Schedule::WorkStealing);
+  auto opt = batch_options(3, 1);
   opt.num_matrices = 9;
 
   if (!sched::WorkspacePool::global().enabled())
@@ -360,9 +327,9 @@ TEST(MultiGfSched, SkewedBatchReportsBalanceTelemetry) {
   p.l = 6;
   p.u = 2.0;
   const qmc::HubbardModel model(qmc::Lattice::chain(3), p);
-  auto opt = batch_options(2, 1, qmc::Schedule::WorkStealing);
+  auto opt = batch_options(2, 1);
   opt.num_matrices = 8;
-  opt.heavy_fraction = 0.25;  // heavy front chunk lands on rank 0's preload
+  opt.heavy_fraction = 0.25;  // heavy front chunk lands on worker 0's preload
 
   const auto r = run_parallel_fsi(model, opt);
   EXPECT_DOUBLE_EQ(r.global.samples(), 8.0);
