@@ -139,6 +139,27 @@ inline void trtri(Uplo uplo, Diag diag, MatrixViewF a) {
 /// benches/tests can exercise both paths.
 inline constexpr std::size_t kParallelFlopThreshold = 1u << 21;
 
+/// gemm's micro-tile geometry per scalar.  double: 8 x 6 (2 AVX2 vectors of
+/// doubles, 12 accumulator registers).  float: 16 x 6 (2 AVX2 vectors of
+/// floats).  KC = 256 keeps the packed A panel (MR x KC) at 16 KiB for both.
+template <typename T>
+struct GemmTile {
+  static constexpr index_t kMr = 8;
+  static constexpr index_t kNr = 6;
+  static constexpr index_t kKc = 256;
+};
+template <>
+struct GemmTile<float> {
+  static constexpr index_t kMr = 16;
+  static constexpr index_t kNr = 6;
+  static constexpr index_t kKc = 256;
+};
+
+/// Shortest inner dimension gemm packs for: a product with m >= kMr,
+/// n >= kNr and k >= kGemmPackedMinK runs on the packed micro-kernel; a
+/// skinnier one (a rank-k update, a tiny chain) runs unpacked.
+inline constexpr index_t kGemmPackedMinK = 16;
+
 /// Runs the dense kernels called in its scope on the calling thread alone:
 /// sets the thread's OpenMP team size to 1 and restores it on exit.
 /// Coarse-parallel callers hold one around each work unit, so a kernel

@@ -78,16 +78,23 @@ class Lattice {
     return class_sizes_;
   }
 
+  /// distance_class(i, j) of every site pair, column-major: entry
+  /// i + j * num_sites() (the SPXX kernel's lookup table).
+  const std::vector<index_t>& distance_class_table() const {
+    return class_table_;
+  }
+
  private:
   Lattice(index_t nx, index_t ny);
   Lattice(index_t num_sites,
           const std::vector<std::pair<index_t, index_t>>& edges);
-  void build_class_sizes();
+  void build_class_tables();
 
   index_t nx_ = 0, ny_ = 0;
   Matrix k_;
   std::vector<std::vector<index_t>> neighbors_;
   std::vector<index_t> class_sizes_;
+  std::vector<index_t> class_table_;  // distance_class(i, j) at i + j*n
   // General-graph extras (empty for chain/rectangle lattices):
   std::vector<index_t> dist_table_;  // n*n BFS distances
   std::vector<int> parity_;          // bipartite colouring or all +1

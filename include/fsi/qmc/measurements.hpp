@@ -97,15 +97,6 @@ void accumulate_equal_time(const Lattice& lat,
                            const pcyclic::SelectedInversion& g_dn, double t_hop,
                            double sign, bool parallel, Measurements& out);
 
-/// Accumulate the SPXX time-dependent correlation of one configuration.
-/// \p rows_* and \p cols_* are Pattern::Rows / Pattern::Columns selected
-/// inversions with the SAME Selection, so that for every selected k both
-/// G_{k,l} (row) and G_{l,k} (column) are available — the paper's
-/// requirement that "block columns and rows are both required".
-/// SPXX(tau, d) = 1/(2 C(tau) |D(d)|) sum_{k in I} sum_{(i,j) in D(d)}
-///   [G^up_{k,l}(i,j) G^dn_{l,k}(j,i) + G^dn_{k,l}(i,j) G^up_{l,k}(j,i)],
-/// l = (k - tau) mod L.  Element-wise Level-1 work, OpenMP-threaded per
-/// the paper when \p parallel is set.
 /// Accumulate the s-wave pair-field susceptibility of one configuration
 /// from block rows of both spins (same Selection):
 ///   chi_pair += dtau * (1/(N C(tau))) sum_{k in I, l} sum_ij
@@ -118,11 +109,38 @@ void accumulate_pair_susceptibility(const Lattice& lat,
                                     double dtau, double sign, bool parallel,
                                     Measurements& out);
 
+/// Accumulate the SPXX time-dependent correlation of one configuration.
+/// \p rows_* and \p cols_* are Pattern::Rows / Pattern::Columns selected
+/// inversions with the SAME Selection, so that for every selected k both
+/// G_{k,l} (row) and G_{l,k} (column) are available — the paper's
+/// requirement that "block columns and rows are both required".
+/// SPXX(tau, d) = 1/(2 C(tau) |D(d)|) sum_{k in I} sum_{(i,j) in D(d)}
+///   [G^up_{k,l}(i,j) G^dn_{l,k}(j,i) + G^dn_{k,l}(i,j) G^up_{l,k}(j,i)],
+/// l = (k - tau) mod L.  The spxx_block calls run OpenMP-threaded per the
+/// paper when \p parallel is set; reduce_spxx then sums them in one fixed
+/// order, so the result does not depend on \p parallel.
 void accumulate_spxx(const Lattice& lat,
                      const pcyclic::SelectedInversion& rows_up,
                      const pcyclic::SelectedInversion& cols_up,
                      const pcyclic::SelectedInversion& rows_dn,
                      const pcyclic::SelectedInversion& cols_dn, double sign,
                      bool parallel, Measurements& out);
+
+/// SPXX class sums of one (k, l) block pair, the element-wise Level-1 kernel
+/// of accumulate_spxx:
+///   buf[d] = sum_{(i,j) in D(d)} gu_kl(i,j) gd_lk(j,i) + gd_kl(i,j) gu_lk(j,i),
+/// summed j-outer, i-inner.  The N x N views may be strided blocks of a
+/// wider panel.  \p buf holds d_max entries and is overwritten.
+void spxx_block(const Lattice& lat, dense::ConstMatrixView gu_kl,
+                dense::ConstMatrixView gd_lk, dense::ConstMatrixView gd_kl,
+                dense::ConstMatrixView gu_lk, double* buf);
+
+/// Add one configuration's SPXX from its spxx_block class sums.  \p sums is
+/// b x L x d_max: slot (ks, l) holds the sums of the pair
+/// (k = sel.indices()[ks], l), at offset (ks L + l) d_max.  The summation
+/// order is fixed, so any producer of the same sums gets the same bits.
+void reduce_spxx(const Lattice& lat, const pcyclic::Selection& sel,
+                 const std::vector<double>& sums, double sign,
+                 Measurements& out);
 
 }  // namespace fsi::qmc

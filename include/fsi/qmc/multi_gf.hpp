@@ -12,7 +12,9 @@
 ///
 /// A batch runs as one sched::TaskGraph: per task and spin, one
 /// matrix-assembly node, b cluster-product nodes, one BSOFI node and b
-/// panel-walk nodes per pattern, then one measurement node per task.  Every
+/// AllDiagonals walk nodes; per heavy task, b fused nodes that walk the
+/// Rows and Columns panels of both spins and sum SPXX line by line without
+/// storing a block; then one measurement node per task.  Every
 /// node of task t starts on worker t*W/T's deque (the paper's contiguous
 /// static split) and idle workers steal the back half of a busy worker's
 /// backlog, so heterogeneous batches (see \ref MultiGfOptions::heavy_fraction)
@@ -110,7 +112,7 @@ MultiGfResult run_parallel_fsi(const HubbardModel& model,
 struct FsiBatchTask {
   HsField field;     ///< the HS configuration (defines M up to spin)
   index_t q = 0;     ///< wrapping offset in [0, c)
-  bool heavy = true; ///< also compute the Rows/Columns passes + SPXX
+  bool heavy = true; ///< also walk the Rows/Columns panels and sum SPXX
 };
 
 /// Execution knobs of one run_fsi_batch call.
@@ -119,11 +121,11 @@ struct FsiBatchOptions {
   int omp_threads_per_worker = 0;///< 0 = OpenMP max threads / workers
   index_t cluster_size = 0;      ///< 0 = divisor of L nearest sqrt(L)
   /// Scalar precision of the CLS and WRP nodes (FSI_PRECISION env default).
-  /// Mixed tasks get a per-task gate node between the wrap fences and the
-  /// measurement: probed residual / cond1 beyond selinv::mixed_gate() (or
-  /// non-finite fp32 output) triggers an in-node serial fp64 recompute of
-  /// that task, counted in Counter::MixedFallbacks.  BSOFI always runs
-  /// fp64.  Fp64 batches are bit-identical to the pre-precision engine.
+  /// Mixed tasks get a per-task gate node between the walk fences and the
+  /// measurement: a seam residual (selinv::seam_residual, heavy tasks) or
+  /// cond1 beyond selinv::mixed_gate() (or non-finite output) triggers an
+  /// in-node serial fp64 recompute of that task, counted in
+  /// Counter::MixedFallbacks.  BSOFI always runs fp64.
   Precision precision = precision_from_env();
 };
 

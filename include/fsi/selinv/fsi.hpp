@@ -20,7 +20,9 @@
 /// so that, across many Green's functions in a Monte Carlo run, all of G is
 /// sampled uniformly.
 
+#include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "fsi/bsofi/bsofi.hpp"
@@ -28,6 +30,7 @@
 #include "fsi/pcyclic/patterns.hpp"
 #include "fsi/pcyclic/pcyclic.hpp"
 #include "fsi/precision.hpp"
+#include "fsi/sched/workspace_pool.hpp"
 #include "fsi/util/rng.hpp"
 
 namespace fsi::selinv {
@@ -124,6 +127,44 @@ void wrap_panel(const pcyclic::BasicBlockOps<T>& ops,
                 const pcyclic::Selection& sel,
                 pcyclic::SelectedInversion& out, index_t unit);
 
+/// Walk \p P seed panels sitting on line \p pos in lockstep (paper Alg. 2):
+/// \p up_steps moves towards lower line indices, then \p down_steps
+/// towards higher ones, from the seeds each time.  move(p, at, dir, src,
+/// dst) writes panel p of line at + dir into dst; visit(at, panels) sees
+/// the P panels of every line, the seeds first.  A visited panel is valid
+/// until visit returns: each panel has two pool-backed ping-pong buffers,
+/// and every step reads the previous line's buffer and writes the other.
+template <typename T, std::size_t P, typename Move, typename Visit>
+void walk_panels(const pcyclic::PCyclicMatrix& m,
+                 const std::array<dense::BasicConstMatrixView<T>, P>& seeds,
+                 index_t pos, index_t up_steps, index_t down_steps,
+                 Move&& move, Visit&& visit) {
+  using View = dense::BasicConstMatrixView<T>;
+  visit(pos, seeds);
+  std::array<dense::BasicMatrix<T>, P> cur, prev;
+  for (std::size_t p = 0; p < P; ++p) {
+    cur[p] = sched::acquire_as<T>(seeds[p].rows(), seeds[p].cols());
+    prev[p] = sched::acquire_as<T>(seeds[p].rows(), seeds[p].cols());
+  }
+  for (const index_t dir : {index_t{-1}, index_t{1}}) {
+    std::array<View, P> line = seeds;
+    index_t at = pos;
+    for (index_t s = 0; s < (dir < 0 ? up_steps : down_steps); ++s) {
+      for (std::size_t p = 0; p < P; ++p) {
+        move(p, at, dir, line[p], cur[p].view());
+        std::swap(cur[p], prev[p]);
+        line[p] = prev[p];
+      }
+      at = m.wrap(at + dir);
+      visit(at, line);
+    }
+  }
+  for (std::size_t p = 0; p < P; ++p) {
+    sched::recycle(std::move(cur[p]));
+    sched::recycle(std::move(prev[p]));
+  }
+}
+
 /// Stage 3 (WRP): grow the selected inversion from the reduced inverse
 /// \p gtilde (a dense bN x bN matrix, as produced by bsofi::invert, or its
 /// fp32 demotion with fp32 \p ops).  With \p parallel the b panel walks
@@ -164,6 +205,18 @@ void set_mixed_gate(const MixedGate& gate) noexcept;
 double probe_residual(const pcyclic::PCyclicMatrix& m,
                       const pcyclic::SelectedInversion& out, Pattern pattern,
                       const pcyclic::Selection& sel);
+
+/// ||M G - I||_max where two independent panel walks meet.  Walk u ends on
+/// line a = idx[u] + floor(c/2) and walk u+1 starts on line a + 1, so the
+/// relation between the two lines mixes the round-off of both walks.
+/// Columns: \p lo / \p hi hold G(a, idx[j]) / G(a+1, idx[j]) side by side
+/// (N x bN), checked against block row a+1 of M.  Rows: they hold
+/// G(idx[j], a) / G(idx[j], a+1) stacked (bN x N), checked against block
+/// column a of G M = I.  One N x N x bN GEMM — what the mixed gate of a
+/// batch checks, since a batch keeps no Rows/Columns blocks to probe.
+double seam_residual(const pcyclic::PCyclicMatrix& m, Pattern pattern,
+                     const pcyclic::Selection& sel, index_t a,
+                     dense::ConstMatrixView lo, dense::ConstMatrixView hi);
 
 /// cond1 of the reduced matrix from its blocks and explicit inverse:
 /// (1 + max_i ||B~_i||_1) ||G~||_1 (exact 1-norm identity for p-cyclic

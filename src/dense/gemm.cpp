@@ -1,6 +1,12 @@
 /// \file gemm.cpp
 /// \brief Packed, register-blocked, OpenMP-parallel GEMM (double + float).
 ///
+/// Every product at least one micro-tile tall and wide with k >=
+/// kGemmPackedMinK takes the packed path; it opens an OpenMP team only past
+/// kParallelFlopThreshold, so a 64^3 product runs packed on the calling
+/// thread.  Skinny products (rank-k updates, tiny chains) take an unpacked
+/// loop.
+///
 /// Layout follows the classic Goto/BLIS decomposition, simplified to two
 /// levels: the k-dimension is blocked by KC; within a k-block, op(A) is
 /// packed into MR-row panels and op(B) into NR-column panels (zero-padded at
@@ -27,22 +33,6 @@
 namespace fsi::dense {
 namespace {
 
-/// Micro-tile geometry per scalar.  double: 8 x 6 (2 AVX2 vectors of
-/// doubles, 12 accumulator registers).  float: 16 x 6 (2 AVX2 vectors of
-/// floats).  KC = 256 keeps the packed A panel (MR x KC) at 16 KiB for both.
-template <typename T>
-struct Tile {
-  static constexpr index_t kMr = 8;
-  static constexpr index_t kNr = 6;
-  static constexpr index_t kKc = 256;
-};
-template <>
-struct Tile<float> {
-  static constexpr index_t kMr = 16;
-  static constexpr index_t kNr = 6;
-  static constexpr index_t kKc = 256;
-};
-
 template <typename T>
 inline const T& op_at(BasicConstMatrixView<T> a, Trans t, index_t i,
                       index_t j) {
@@ -54,7 +44,7 @@ inline const T& op_at(BasicConstMatrixView<T> a, Trans t, index_t i,
 template <typename T>
 void pack_a_panel(BasicConstMatrixView<T> a, Trans ta, index_t pc, index_t kc,
                   index_t ir, index_t m, T* dst) {
-  constexpr index_t kMr = Tile<T>::kMr;
+  constexpr index_t kMr = GemmTile<T>::kMr;
   for (index_t p = 0; p < kc; ++p) {
     T* col = dst + static_cast<std::size_t>(p) * kMr;
     const index_t mr = std::min(kMr, m - ir);
@@ -72,7 +62,7 @@ void pack_a_panel(BasicConstMatrixView<T> a, Trans ta, index_t pc, index_t kc,
 template <typename T>
 void pack_b_panel(BasicConstMatrixView<T> b, Trans tb, index_t pc, index_t kc,
                   index_t jr, index_t n, T* dst) {
-  constexpr index_t kNr = Tile<T>::kNr;
+  constexpr index_t kNr = GemmTile<T>::kNr;
   const index_t nr = std::min(kNr, n - jr);
   for (index_t p = 0; p < kc; ++p) {
     T* row = dst + static_cast<std::size_t>(p) * kNr;
@@ -85,8 +75,8 @@ void pack_b_panel(BasicConstMatrixView<T> b, Trans tb, index_t pc, index_t kc,
 template <typename T>
 inline void micro_kernel(const T* __restrict ap, const T* __restrict bp,
                          index_t kc, T* __restrict acc) {
-  constexpr index_t kMr = Tile<T>::kMr;
-  constexpr index_t kNr = Tile<T>::kNr;
+  constexpr index_t kMr = GemmTile<T>::kMr;
+  constexpr index_t kNr = GemmTile<T>::kNr;
   for (index_t j = 0; j < kNr * kMr; ++j) acc[j] = T(0);
   for (index_t p = 0; p < kc; ++p) {
     const T* a = ap + static_cast<std::size_t>(p) * kMr;
@@ -100,7 +90,9 @@ inline void micro_kernel(const T* __restrict ap, const T* __restrict bp,
   }
 }
 
-/// Reference path for small problems: no packing, no threading.
+/// Unpacked path for skinny products: no packing, no threading.  Every
+/// product is formed, zeros included, so a NaN or Inf in A reaches C as it
+/// does on the packed path.
 template <typename T>
 void gemm_small(Trans ta, Trans tb, T alpha, BasicConstMatrixView<T> a,
                 BasicConstMatrixView<T> b, BasicMatrixView<T> c) {
@@ -110,7 +102,6 @@ void gemm_small(Trans ta, Trans tb, T alpha, BasicConstMatrixView<T> a,
     T* cj = c.col(j);
     for (index_t p = 0; p < k; ++p) {
       const T bpj = alpha * op_at(b, tb, p, j);
-      if (bpj == T(0)) continue;
       if (ta == Trans::No) {
         const T* apcol = a.col(p);
 #pragma omp simd
@@ -127,9 +118,9 @@ void gemm_small(Trans ta, Trans tb, T alpha, BasicConstMatrixView<T> a,
 template <typename T>
 void gemm(Trans ta, Trans tb, T alpha, BasicConstMatrixView<T> a,
           BasicConstMatrixView<T> b, T beta, BasicMatrixView<T> c) {
-  constexpr index_t kMr = Tile<T>::kMr;
-  constexpr index_t kNr = Tile<T>::kNr;
-  constexpr index_t kKc = Tile<T>::kKc;
+  constexpr index_t kMr = GemmTile<T>::kMr;
+  constexpr index_t kNr = GemmTile<T>::kNr;
+  constexpr index_t kKc = GemmTile<T>::kKc;
   const index_t m = c.rows();
   const index_t n = c.cols();
   const index_t k = (ta == Trans::No) ? a.cols() : a.rows();
@@ -158,7 +149,7 @@ void gemm(Trans ta, Trans tb, T alpha, BasicConstMatrixView<T> a,
                                  static_cast<std::uint64_t>(k) * n +
                                  2ull * m * n));
 
-  if (work < kParallelFlopThreshold) {
+  if (m < kMr || n < kNr || k < kGemmPackedMinK) {
     gemm_small(ta, tb, alpha, a, b, c);
     return;
   }
@@ -172,6 +163,40 @@ void gemm(Trans ta, Trans tb, T alpha, BasicConstMatrixView<T> a,
       new T[static_cast<std::size_t>(mtiles) * kMr * kc_max]);
   const std::unique_ptr<T[]> bpack(
       new T[static_cast<std::size_t>(ntiles) * kNr * kc_max]);
+  auto pack_a = [&](index_t pc, index_t kc, index_t it) {
+    pack_a_panel(a, ta, pc, kc, it * kMr, m,
+                 apack.get() + static_cast<std::size_t>(it) * kMr * kc);
+  };
+  auto pack_b = [&](index_t pc, index_t kc, index_t jt) {
+    pack_b_panel(b, tb, pc, kc, jt * kNr, n,
+                 bpack.get() + static_cast<std::size_t>(jt) * kNr * kc);
+  };
+  auto tile = [&](index_t kc, index_t jt, index_t it, T* acc) {
+    micro_kernel(apack.get() + static_cast<std::size_t>(it) * kMr * kc,
+                 bpack.get() + static_cast<std::size_t>(jt) * kNr * kc, kc,
+                 acc);
+    const index_t ir = it * kMr, jr = jt * kNr;
+    const index_t mr = std::min(kMr, m - ir), nr = std::min(kNr, n - jr);
+    for (index_t j = 0; j < nr; ++j) {
+      T* cj = c.col(jr + j) + ir;
+      const T* accj = acc + j * kMr;
+      for (index_t i = 0; i < mr; ++i) cj[i] += alpha * accj[i];
+    }
+  };
+
+  if (work < kParallelFlopThreshold) {
+    // One thread, no OpenMP team: opening even a one-thread team costs
+    // more than the packing does at 16^3.
+    alignas(64) T acc[kMr * kNr];
+    for (index_t pc = 0; pc < k; pc += kKc) {
+      const index_t kc = std::min(kKc, k - pc);
+      for (index_t it = 0; it < mtiles; ++it) pack_a(pc, kc, it);
+      for (index_t jt = 0; jt < ntiles; ++jt) pack_b(pc, kc, jt);
+      for (index_t jt = 0; jt < ntiles; ++jt)
+        for (index_t it = 0; it < mtiles; ++it) tile(kc, jt, it, acc);
+    }
+    return;
+  }
 
 #pragma omp parallel
   {
@@ -180,29 +205,14 @@ void gemm(Trans ta, Trans tb, T alpha, BasicConstMatrixView<T> a,
       const index_t kc = std::min(kKc, k - pc);
 
 #pragma omp for nowait
-      for (index_t it = 0; it < mtiles; ++it)
-        pack_a_panel(a, ta, pc, kc, it * kMr, m,
-                     apack.get() + static_cast<std::size_t>(it) * kMr * kc);
+      for (index_t it = 0; it < mtiles; ++it) pack_a(pc, kc, it);
 #pragma omp for
-      for (index_t jt = 0; jt < ntiles; ++jt)
-        pack_b_panel(b, tb, pc, kc, jt * kNr, n,
-                     bpack.get() + static_cast<std::size_t>(jt) * kNr * kc);
+      for (index_t jt = 0; jt < ntiles; ++jt) pack_b(pc, kc, jt);
       // implicit barrier: packing complete before tiles are consumed
 
 #pragma omp for collapse(2) schedule(dynamic, 4)
-      for (index_t jt = 0; jt < ntiles; ++jt) {
-        for (index_t it = 0; it < mtiles; ++it) {
-          micro_kernel(apack.get() + static_cast<std::size_t>(it) * kMr * kc,
-                       bpack.get() + static_cast<std::size_t>(jt) * kNr * kc, kc, acc);
-          const index_t ir = it * kMr, jr = jt * kNr;
-          const index_t mr = std::min(kMr, m - ir), nr = std::min(kNr, n - jr);
-          for (index_t j = 0; j < nr; ++j) {
-            T* cj = c.col(jr + j) + ir;
-            const T* accj = acc + j * kMr;
-            for (index_t i = 0; i < mr; ++i) cj[i] += alpha * accj[i];
-          }
-        }
-      }
+      for (index_t jt = 0; jt < ntiles; ++jt)
+        for (index_t it = 0; it < mtiles; ++it) tile(kc, jt, it, acc);
       // implicit barrier: C tile updates complete before packs are reused
     }
   }

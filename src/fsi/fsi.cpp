@@ -197,6 +197,44 @@ double probe_residual(const PCyclicMatrix& m, const SelectedInversion& out,
   return worst;
 }
 
+double seam_residual(const PCyclicMatrix& m, Pattern pattern,
+                     const Selection& sel, index_t a,
+                     dense::ConstMatrixView lo, dense::ConstMatrixView hi) {
+  FSI_CHECK(pattern == Pattern::Columns || pattern == Pattern::Rows,
+            "seam_residual: needs a Rows or Columns panel");
+  const index_t n = m.block_size();
+  const index_t b = sel.b();
+  const bool cols = pattern == Pattern::Columns;
+  FSI_CHECK(lo.rows() == (cols ? n : b * n) && lo.cols() == (cols ? b * n : n) &&
+                hi.rows() == lo.rows() && hi.cols() == lo.cols(),
+            "seam_residual: panel shape does not match the selection");
+  const index_t next = m.wrap(a + 1);
+  // Corner block: the +B_0 entry of M's first block row / last block column.
+  const double sign = next == 0 ? 1.0 : -1.0;
+  dense::Matrix r = sched::acquire_copy(cols ? hi : lo);
+  index_t diag;  // the line whose selected block sits on G's diagonal
+  if (cols) {
+    // G(a+1, :) - B_{a+1} G(a, :) = delta I.
+    dense::gemm(dense::Trans::No, dense::Trans::No, sign, m.b(next), lo, 1.0,
+                r);
+    diag = next;
+  } else {
+    // G(:, a) - G(:, a+1) B_{a+1} = delta I.
+    dense::gemm(dense::Trans::No, dense::Trans::No, sign, hi, m.b(next), 1.0,
+                r);
+    diag = a;
+  }
+  const auto idx = sel.indices();
+  for (index_t j = 0; j < b; ++j) {
+    if (idx[j] != diag) continue;
+    for (index_t d = 0; d < n; ++d)
+      (cols ? r(d, j * n + d) : r(j * n + d, d)) -= 1.0;
+  }
+  const double worst = dense::max_abs(r.view());
+  sched::recycle(std::move(r));
+  return worst;
+}
+
 double reduced_cond1(const PCyclicMatrix& reduced,
                      dense::ConstMatrixView gtilde) {
   double max_b = 0.0;
@@ -249,34 +287,6 @@ dense::Matrix stored(dense::ConstMatrixViewF src) {
   return out;
 }
 
-/// Walk a seed panel sitting on line \p pos: \p up_steps moves towards
-/// lower line indices, then \p down_steps towards higher ones, from the
-/// seed each time (paper Alg. 2).  move(at, dir, src, dst) writes the panel
-/// of line at + dir into dst; store(panel, at) files a panel of line at.
-/// Two ping-pong buffers: each step reads the previous panel and writes the
-/// other.
-template <typename T, typename Move, typename Store>
-void walk(const PCyclicMatrix& m, dense::BasicConstMatrixView<T> seed,
-          index_t pos, index_t up_steps, index_t down_steps, Move&& move,
-          Store&& store) {
-  store(seed, pos);
-  dense::BasicMatrix<T> cur = sched::acquire_as<T>(seed.rows(), seed.cols());
-  dense::BasicMatrix<T> prev = sched::acquire_as<T>(seed.rows(), seed.cols());
-  for (const index_t dir : {index_t{-1}, index_t{1}}) {
-    dense::BasicConstMatrixView<T> src = seed;
-    index_t at = pos;
-    for (index_t s = 0; s < (dir < 0 ? up_steps : down_steps); ++s) {
-      move(at, dir, src, cur.view());
-      at = m.wrap(at + dir);
-      store(cur, at);
-      std::swap(cur, prev);
-      src = prev;
-    }
-  }
-  sched::recycle(std::move(cur));
-  sched::recycle(std::move(prev));
-}
-
 }  // namespace
 
 template <typename T>
@@ -314,35 +324,37 @@ void wrap_panel(const pcyclic::BasicBlockOps<T>& ops,
       // Paper Alg. 2, batched: block row `unit` of G~ holds the b seeds
       // G(pos, idx[j]) side by side; walking it up and down fills the c
       // rows around pos in every selected column, one GEMM per step.
-      walk(ops.matrix(), g.block(unit * n, 0, n, b * n), pos, up_steps,
-           down_steps,
-           [&](index_t at, index_t dir, Panel src, Out dst) {
-             if (dir < 0)
-               ops.up(at, idx, src, dst);
-             else
-               ops.down(at, idx, src, dst);
-           },
-           [&](Panel panel, index_t at) {
-             for (index_t j = 0; j < b; ++j)
-               out.slot(at, idx[j]) = stored(panel.block(0, j * n, n, n));
-           });
+      walk_panels<T, 1>(
+          ops.matrix(), {g.block(unit * n, 0, n, b * n)}, pos, up_steps,
+          down_steps,
+          [&](std::size_t, index_t at, index_t dir, Panel src, Out dst) {
+            if (dir < 0)
+              ops.up(at, idx, src, dst);
+            else
+              ops.down(at, idx, src, dst);
+          },
+          [&](index_t at, const std::array<Panel, 1>& panel) {
+            for (index_t j = 0; j < b; ++j)
+              out.slot(at, idx[j]) = stored(panel[0].block(0, j * n, n, n));
+          });
       break;
     case Pattern::Rows:
       // Mirror of the column walk on block column `unit` of G~ (the b
       // seeds G(idx[j], pos) stacked), using the horizontal relations
       // (Eqs. 6/7).
-      walk(ops.matrix(), g.block(0, unit * n, b * n, n), pos, up_steps,
-           down_steps,
-           [&](index_t at, index_t dir, Panel src, Out dst) {
-             if (dir < 0)
-               ops.left(idx, at, src, dst);
-             else
-               ops.right(idx, at, src, dst);
-           },
-           [&](Panel panel, index_t at) {
-             for (index_t j = 0; j < b; ++j)
-               out.slot(idx[j], at) = stored(panel.block(j * n, 0, n, n));
-           });
+      walk_panels<T, 1>(
+          ops.matrix(), {g.block(0, unit * n, b * n, n)}, pos, up_steps,
+          down_steps,
+          [&](std::size_t, index_t at, index_t dir, Panel src, Out dst) {
+            if (dir < 0)
+              ops.left(idx, at, src, dst);
+            else
+              ops.right(idx, at, src, dst);
+          },
+          [&](index_t at, const std::array<Panel, 1>& panel) {
+            for (index_t j = 0; j < b; ++j)
+              out.slot(idx[j], at) = stored(panel[0].block(j * n, 0, n, n));
+          });
       break;
     case Pattern::AllDiagonals: {
       // Diagonal walk of one seed by similarity transforms,
@@ -351,19 +363,22 @@ void wrap_panel(const pcyclic::BasicBlockOps<T>& ops,
       // each composed from one vertical and one horizontal adjacency move
       // (the "Hirsch wrapping" for equal-time blocks).
       dense::BasicMatrix<T> mid = sched::acquire_as<T>(n, n);
-      walk(ops.matrix(), g.block(unit * n, unit * n, n, n), pos, up_steps,
-           down_steps,
-           [&](index_t k, index_t dir, Panel src, Out dst) {
-             const index_t next = ops.matrix().wrap(k + dir);
-             if (dir < 0) {
-               ops.up(k, {k}, src, mid);
-               ops.left({next}, k, mid, dst);
-             } else {
-               ops.down(k, {k}, src, mid);
-               ops.right({next}, k, mid, dst);
-             }
-           },
-           [&](Panel block, index_t k) { out.slot(k, k) = stored(block); });
+      walk_panels<T, 1>(
+          ops.matrix(), {g.block(unit * n, unit * n, n, n)}, pos, up_steps,
+          down_steps,
+          [&](std::size_t, index_t k, index_t dir, Panel src, Out dst) {
+            const index_t next = ops.matrix().wrap(k + dir);
+            if (dir < 0) {
+              ops.up(k, {k}, src, mid);
+              ops.left({next}, k, mid, dst);
+            } else {
+              ops.down(k, {k}, src, mid);
+              ops.right({next}, k, mid, dst);
+            }
+          },
+          [&](index_t k, const std::array<Panel, 1>& block) {
+            out.slot(k, k) = stored(block[0]);
+          });
       sched::recycle(std::move(mid));
       break;
     }

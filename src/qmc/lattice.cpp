@@ -85,15 +85,20 @@ Lattice::Lattice(index_t num_sites,
       parity_[static_cast<std::size_t>(v)] =
           (colour[static_cast<std::size_t>(v)] == 0) ? 1 : -1;
 
-  build_class_sizes();
+  build_class_tables();
 }
 
-void Lattice::build_class_sizes() {
+void Lattice::build_class_tables() {
   class_sizes_.assign(static_cast<std::size_t>(num_distance_classes()), 0);
   const index_t n = num_sites();
-  for (index_t i = 0; i < n; ++i)
-    for (index_t j = 0; j < n; ++j)
-      ++class_sizes_[static_cast<std::size_t>(distance_class(i, j))];
+  class_table_.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
+  for (index_t j = 0; j < n; ++j) {
+    for (index_t i = 0; i < n; ++i) {
+      const index_t d = distance_class(i, j);
+      class_table_[static_cast<std::size_t>(i + j * n)] = d;
+      ++class_sizes_[static_cast<std::size_t>(d)];
+    }
+  }
 }
 
 Lattice::Lattice(index_t nx, index_t ny) : nx_(nx), ny_(ny) {
@@ -123,7 +128,7 @@ Lattice::Lattice(index_t nx, index_t ny) : nx_(nx), ny_(ny) {
     neighbors_[static_cast<std::size_t>(s)] = std::move(nbr);
   }
 
-  build_class_sizes();
+  build_class_tables();
 }
 
 index_t Lattice::site(index_t x, index_t y) const {

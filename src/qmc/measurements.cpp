@@ -2,6 +2,8 @@
 
 #include <omp.h>
 
+#include <algorithm>
+
 #include "fsi/util/check.hpp"
 
 namespace fsi::qmc {
@@ -192,14 +194,70 @@ void accumulate_pair_susceptibility(const Lattice& lat,
                               (static_cast<double>(n) * c_tau));
 }
 
+void spxx_block(const Lattice& lat, dense::ConstMatrixView gu_kl,
+                dense::ConstMatrixView gd_lk, dense::ConstMatrixView gd_kl,
+                dense::ConstMatrixView gu_lk, double* buf) {
+  const index_t n = lat.num_sites();
+  FSI_ASSERT(gu_kl.rows() == n && gu_kl.cols() == n && gd_lk.rows() == n &&
+             gd_lk.cols() == n && gd_kl.rows() == n && gd_kl.cols() == n &&
+             gu_lk.rows() == n && gu_lk.cols() == n);
+  std::fill(buf, buf + lat.num_distance_classes(), 0.0);
+  const index_t* cls = lat.distance_class_table().data();
+  for (index_t j = 0; j < n; ++j) {
+    const index_t* cls_j = cls + j * n;
+    for (index_t i = 0; i < n; ++i) {
+      const double v = gu_kl(i, j) * gd_lk(j, i) + gd_kl(i, j) * gu_lk(j, i);
+      buf[cls_j[i]] += v;
+    }
+  }
+}
+
+void reduce_spxx(const Lattice& lat, const pcyclic::Selection& sel,
+                 const std::vector<double>& sums, double sign,
+                 Measurements& out) {
+  const index_t l = sel.l_total;
+  const index_t dmax = lat.num_distance_classes();
+  const auto selected = sel.indices();
+  FSI_CHECK(sums.size() == selected.size() * static_cast<std::size_t>(l) *
+                               static_cast<std::size_t>(dmax),
+            "reduce_spxx: sums must hold b x L x dmax class sums");
+  const double c_tau = static_cast<double>(selected.size());  // C(tau) = b
+  const auto& class_sizes = lat.distance_class_sizes();
+
+  // Slice-major, selected index outer: one fixed summation order whatever
+  // order the sums were produced in.  The local -> total -> out chain is the
+  // per-thread-accumulator merge of the paper's Sec. III-B, kept so every
+  // caller rounds the same way.
+  Measurements local(l, dmax);
+  for (std::size_t ks = 0; ks < selected.size(); ++ks) {
+    const index_t k = selected[ks];
+    for (index_t tau = 0; tau < l; ++tau) {
+      const index_t ell = ((k - tau) % l + l) % l;
+      const double* buf =
+          sums.data() + (ks * static_cast<std::size_t>(l) +
+                         static_cast<std::size_t>(ell)) *
+                            static_cast<std::size_t>(dmax);
+      for (index_t d = 0; d < dmax; ++d) {
+        const double denom =
+            2.0 * c_tau *
+            static_cast<double>(class_sizes[static_cast<std::size_t>(d)]);
+        local.add_spxx(tau, d, sign * buf[d] / denom);
+      }
+    }
+  }
+  Measurements total(l, dmax);
+  total.merge(local);
+  out.merge(total);
+}
+
 void accumulate_spxx(const Lattice& lat,
                      const pcyclic::SelectedInversion& rows_up,
                      const pcyclic::SelectedInversion& cols_up,
                      const pcyclic::SelectedInversion& rows_dn,
                      const pcyclic::SelectedInversion& cols_dn, double sign,
                      bool parallel, Measurements& out) {
-  const index_t n = lat.num_sites();
-  const index_t l = rows_up.selection().l_total;
+  const pcyclic::Selection& sel = rows_up.selection();
+  const index_t l = sel.l_total;
   const index_t dmax = lat.num_distance_classes();
   FSI_CHECK(rows_up.pattern() == pcyclic::Pattern::Rows &&
                 rows_dn.pattern() == pcyclic::Pattern::Rows,
@@ -207,51 +265,26 @@ void accumulate_spxx(const Lattice& lat,
   FSI_CHECK(cols_up.pattern() == pcyclic::Pattern::Columns &&
                 cols_dn.pattern() == pcyclic::Pattern::Columns,
             "accumulate_spxx: cols_* must be Columns patterns");
-  FSI_CHECK(rows_up.selection().q == cols_up.selection().q &&
-                rows_up.selection().q == rows_dn.selection().q &&
-                rows_up.selection().q == cols_dn.selection().q,
+  FSI_CHECK(sel.q == cols_up.selection().q && sel.q == rows_dn.selection().q &&
+                sel.q == cols_dn.selection().q,
             "accumulate_spxx: all patterns must share one Selection");
 
-  const auto selected = rows_up.selection().indices();
-  const double c_tau = static_cast<double>(selected.size());  // C(tau) = b
-  const auto& class_sizes = lat.distance_class_sizes();
-
-  // Per-thread local accumulators, merged under a critical section — the
-  // paper's remedy for the concurrent-writing hazard of measurement sums
-  // ("the reason to create local measurements for each thread", Sec. III-B).
-  Measurements total(l, dmax);
-
-#pragma omp parallel if (parallel)
-  {
-    Measurements local(l, dmax);
-    std::vector<double> buf(static_cast<std::size_t>(dmax));
-#pragma omp for collapse(2) schedule(dynamic)
-    for (std::size_t ks = 0; ks < selected.size(); ++ks) {
-      for (index_t tau = 0; tau < l; ++tau) {
-        const index_t k = selected[ks];
-        const index_t ell = ((k - tau) % l + l) % l;
-        const dense::Matrix& gu_kl = rows_up.at(k, ell);
-        const dense::Matrix& gd_lk = cols_dn.at(ell, k);
-        const dense::Matrix& gd_kl = rows_dn.at(k, ell);
-        const dense::Matrix& gu_lk = cols_up.at(ell, k);
-        std::fill(buf.begin(), buf.end(), 0.0);
-        for (index_t j = 0; j < n; ++j) {
-          for (index_t i = 0; i < n; ++i) {
-            const double v = gu_kl(i, j) * gd_lk(j, i) + gd_kl(i, j) * gu_lk(j, i);
-            buf[static_cast<std::size_t>(lat.distance_class(i, j))] += v;
-          }
-        }
-        for (index_t d = 0; d < dmax; ++d) {
-          const double denom = 2.0 * c_tau *
-                               static_cast<double>(class_sizes[static_cast<std::size_t>(d)]);
-          local.add_spxx(tau, d, sign * buf[static_cast<std::size_t>(d)] / denom);
-        }
-      }
+  const auto selected = sel.indices();
+  std::vector<double> sums(selected.size() * static_cast<std::size_t>(l) *
+                           static_cast<std::size_t>(dmax));
+  // Each (k, l) pair writes its own slot, so the threads need no merge.
+#pragma omp parallel for collapse(2) schedule(dynamic) if (parallel)
+  for (std::size_t ks = 0; ks < selected.size(); ++ks) {
+    for (index_t ell = 0; ell < l; ++ell) {
+      const index_t k = selected[ks];
+      spxx_block(lat, rows_up.at(k, ell), cols_dn.at(ell, k),
+                 rows_dn.at(k, ell), cols_up.at(ell, k),
+                 sums.data() + (ks * static_cast<std::size_t>(l) +
+                                static_cast<std::size_t>(ell)) *
+                                   static_cast<std::size_t>(dmax));
     }
-#pragma omp critical(fsi_spxx_merge)
-    total.merge(local);
   }
-  out.merge(total);
+  reduce_spxx(lat, sel, sums, sign, out);
 }
 
 }  // namespace fsi::qmc

@@ -3,10 +3,12 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <memory>
+#include <type_traits>
 
 #include "fsi/dense/norms.hpp"
 #include "fsi/obs/health.hpp"
@@ -21,6 +23,162 @@
 #include "fsi/util/timer.hpp"
 
 namespace fsi::qmc {
+
+namespace {
+
+/// Per-spin node storage; bodies of different nodes write disjoint fields.
+struct SpinWork {
+  std::unique_ptr<pcyclic::PCyclicMatrix> mat;  ///< set by the Build node
+  std::unique_ptr<pcyclic::BlockOps> ops;       ///< set by the Build node
+  std::unique_ptr<pcyclic::BlockOpsF> ops_f;    ///< Build node, mixed only
+  std::vector<dense::Matrix> cls_blocks;        ///< one per Cls node
+  dense::Matrix gtilde;                         ///< set by the Bsofi node
+  dense::MatrixF gtilde_f;                      ///< Bsofi node, mixed only
+  double cond1 = 0.0;                           ///< Bsofi node, mixed only
+  pcyclic::SelectedInversion diag;              ///< filled by Wrap nodes
+  SpinWork(index_t nn, const pcyclic::Selection& sel)
+      : diag(pcyclic::Pattern::AllDiagonals, nn, sel) {}
+};
+
+/// Panel p of a fused walk belongs to spin p / 2 (0 = up, 1 = down); an
+/// even p is the row panel (block column u of G~: G(idx[j], line) stacked,
+/// bN x N, moved left/right), an odd p the column panel (block row u:
+/// G(line, idx[j]) side by side, N x bN, moved up/down).
+constexpr std::size_t kPanels = 4;
+
+/// fp64 copies of the first and last line of one fused walk, kept for the
+/// mixed gate's seam residuals.
+struct WalkEnds {
+  dense::Matrix first[kPanels];  ///< line idx[u] - floor((c-1)/2)
+  dense::Matrix last[kPanels];   ///< line idx[u] + floor(c/2)
+};
+
+struct TaskWork {
+  pcyclic::Selection sel;
+  bool heavy;
+  SpinWork up, dn;
+  /// Heavy tasks: SPXX class sums, b x L x dmax (see reduce_spxx), written
+  /// by the fused walk nodes.
+  std::vector<double> spxx_sums;
+  std::vector<WalkEnds> ends;  ///< heavy mixed tasks: one per walk
+  TaskWork(const pcyclic::Selection& s, bool h, index_t nn)
+      : sel(s), heavy(h), up(nn, s), dn(nn, s) {}
+};
+
+/// Walk seed unit \p u's Rows and Columns panels of both spins in lockstep,
+/// the same moves as selinv::wrap_panel, and write each line's SPXX class
+/// sums into tw.spxx_sums while the panels are in cache; nothing else is
+/// stored.  fp32 panels are promoted first,
+/// so SPXX is always summed in fp64.  \p ends, when non-null, receives the
+/// walk's first and last lines.
+template <typename T>
+void walk_and_measure(const Lattice& lat, const pcyclic::BasicBlockOps<T>* ops[2],
+                const dense::BasicMatrix<T>* gtilde[2], TaskWork& tw, index_t u,
+                WalkEnds* ends) {
+  FSI_OBS_SPAN("fsi.wrap_spxx");
+  using View = dense::BasicConstMatrixView<T>;
+  const pcyclic::Selection& sel = tw.sel;
+  const pcyclic::PCyclicMatrix& m = ops[0]->matrix();
+  const index_t n = lat.num_sites();
+  const index_t l = sel.l_total;
+  const index_t b = sel.b();
+  const index_t dmax = lat.num_distance_classes();
+  const std::vector<index_t> idx = sel.indices();
+  const index_t pos = idx[static_cast<std::size_t>(u)];
+  const index_t up_steps = (sel.c - 1) / 2;
+  const index_t down_steps = sel.c / 2;
+  std::array<View, kPanels> seeds;
+  for (std::size_t s = 0; s < 2; ++s) {
+    const View g = *gtilde[s];
+    seeds[2 * s] = g.block(0, u * n, b * n, n);
+    seeds[2 * s + 1] = g.block(u * n, 0, n, b * n);
+  }
+  dense::Matrix promoted[kPanels];
+  if constexpr (!std::is_same_v<T, double>) {
+    for (std::size_t p = 0; p < kPanels; ++p)
+      promoted[p] = sched::acquire(seeds[p].rows(), seeds[p].cols());
+  }
+  selinv::walk_panels<T, kPanels>(
+      m, seeds, pos, up_steps, down_steps,
+      [&](std::size_t p, index_t at, index_t dir, View src,
+          dense::BasicMatrixView<T> dst) {
+        const pcyclic::BasicBlockOps<T>& o = *ops[p / 2];
+        if (p % 2 == 0) {
+          if (dir < 0) o.left(idx, at, src, dst);
+          else o.right(idx, at, src, dst);
+        } else {
+          if (dir < 0) o.up(at, idx, src, dst);
+          else o.down(at, idx, src, dst);
+        }
+      },
+      [&](index_t at, const std::array<View, kPanels>& line) {
+        dense::ConstMatrixView g[kPanels];
+        for (std::size_t p = 0; p < kPanels; ++p) {
+          if constexpr (std::is_same_v<T, double>) {
+            g[p] = line[p];
+          } else {
+            dense::promote(line[p], promoted[p].view());
+            g[p] = promoted[p];
+          }
+        }
+        // Pair (k = idx[j], at): G^up(k, at), G^dn(at, k), G^dn(k, at),
+        // G^up(at, k).
+        for (index_t j = 0; j < b; ++j)
+          spxx_block(lat, g[0].block(j * n, 0, n, n),
+                     g[3].block(0, j * n, n, n), g[2].block(j * n, 0, n, n),
+                     g[1].block(0, j * n, n, n),
+                     tw.spxx_sums.data() + static_cast<std::size_t>(j * l + at) *
+                                               static_cast<std::size_t>(dmax));
+        if (ends == nullptr) return;
+        for (std::size_t p = 0; p < kPanels; ++p) {
+          if (at == m.wrap(pos - up_steps))
+            ends->first[p] = sched::acquire_copy(g[p]);
+          if (at == m.wrap(pos + down_steps))
+            ends->last[p] = sched::acquire_copy(g[p]);
+        }
+      });
+  for (dense::Matrix& p : promoted) sched::recycle(std::move(p));
+}
+
+/// The fused node body: fp32 panels for a mixed task, which also keeps the
+/// walk's ends for its gate, fp64 otherwise (and for the gate's fallback).
+void fused_unit(const Lattice& lat, TaskWork& tw, index_t u, bool fp32) {
+  if (fp32) {
+    const pcyclic::BlockOpsF* ops[2] = {tw.up.ops_f.get(), tw.dn.ops_f.get()};
+    const dense::MatrixF* g[2] = {&tw.up.gtilde_f, &tw.dn.gtilde_f};
+    walk_and_measure(lat, ops, g, tw, u,
+                     &tw.ends[static_cast<std::size_t>(u)]);
+  } else {
+    const pcyclic::BlockOps* ops[2] = {tw.up.ops.get(), tw.dn.ops.get()};
+    const dense::Matrix* g[2] = {&tw.up.gtilde, &tw.dn.gtilde};
+    walk_and_measure(lat, ops, g, tw, u, nullptr);
+  }
+}
+
+/// Worst seam residual of one spin of a heavy mixed task: for every walk
+/// u, its last line against the first line of walk u+1, in both patterns.
+double worst_seam_residual(const pcyclic::PCyclicMatrix& m, const TaskWork& tw,
+                           std::size_t spin) {
+  const pcyclic::Selection& sel = tw.sel;
+  const index_t b = sel.b();
+  const std::vector<index_t> idx = sel.indices();
+  double worst = 0.0;
+  for (index_t u = 0; u < b; ++u) {
+    const WalkEnds& lo = tw.ends[static_cast<std::size_t>(u)];
+    const WalkEnds& hi = tw.ends[static_cast<std::size_t>((u + 1) % b)];
+    const index_t a = m.wrap(idx[static_cast<std::size_t>(u)] + sel.c / 2);
+    for (const std::size_t p : {2 * spin, 2 * spin + 1}) {
+      const double r = selinv::seam_residual(
+          m, p % 2 == 0 ? pcyclic::Pattern::Rows : pcyclic::Pattern::Columns,
+          sel, a, lo.last[p], hi.first[p]);
+      if (std::isnan(r)) return r;
+      worst = std::max(worst, r);
+    }
+  }
+  return worst;
+}
+
+}  // namespace
 
 std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
                                         const std::vector<FsiBatchTask>& tasks,
@@ -42,6 +200,7 @@ std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
                                         : omp_get_max_threads();
   if (workers < 1) workers = 1;
   const index_t dmax = model.lattice().num_distance_classes();
+  const Lattice& lat = model.lattice();
 
   // Static owner of each task: the contiguous split [w*T/W, (w+1)*T/W) of
   // the paper's Alg. 3.  Idle workers then steal a straggler task's
@@ -62,29 +221,6 @@ std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
   std::atomic<std::uint32_t> mixed_tasks{0};
   std::atomic<std::uint32_t> mixed_fallbacks{0};
 
-  /// Per-spin node storage; bodies of different nodes write disjoint fields.
-  struct SpinWork {
-    std::unique_ptr<pcyclic::PCyclicMatrix> mat;  ///< set by the Build node
-    std::unique_ptr<pcyclic::BlockOps> ops;       ///< set by the Build node
-    std::unique_ptr<pcyclic::BlockOpsF> ops_f;    ///< Build node, mixed only
-    std::vector<dense::Matrix> cls_blocks;        ///< one per Cls node
-    dense::Matrix gtilde;                         ///< set by the Bsofi node
-    dense::MatrixF gtilde_f;                      ///< Bsofi node, mixed only
-    double cond1 = 0.0;                           ///< Bsofi node, mixed only
-    pcyclic::SelectedInversion diag, rows, cols;  ///< filled by Wrap nodes
-    SpinWork(index_t nn, const pcyclic::Selection& sel)
-        : diag(pcyclic::Pattern::AllDiagonals, nn, sel),
-          rows(pcyclic::Pattern::Rows, nn, sel),
-          cols(pcyclic::Pattern::Columns, nn, sel) {}
-  };
-  struct TaskWork {
-    pcyclic::Selection sel;
-    bool heavy;
-    SpinWork up, dn;
-    TaskWork(const pcyclic::Selection& s, bool h, index_t nn)
-        : sel(s), heavy(h), up(nn, s), dn(nn, s) {}
-  };
-
   std::vector<std::unique_ptr<TaskWork>> work;
   work.reserve(static_cast<std::size_t>(m_total));
   // One result slot per task: the Measure nodes write disjoint entries, so
@@ -102,7 +238,8 @@ std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
     const index_t b = sel.b();
     const index_t q = task.q;
 
-    std::vector<sched::NodeId> fences;  // all wrap nodes of both spins
+    std::vector<sched::NodeId> fences;  // every walk node of the task
+    sched::NodeId bsofi_nodes[2];
     for (SpinWork* sw : {&tw->up, &tw->dn}) {
       const Spin spin = (sw == &tw->up) ? Spin::Up : Spin::Down;
       const sched::NodeId build = graph.add_node(
@@ -157,65 +294,81 @@ std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
           },
           sched::Stage::Bsofi, hint);
       for (sched::NodeId id : cls_nodes) graph.add_edge(id, bsofi_node);
+      bsofi_nodes[spin == Spin::Up ? 0 : 1] = bsofi_node;
 
-      auto emit_wrap = [&](pcyclic::Pattern pat,
-                           pcyclic::SelectedInversion* out) {
-        for (index_t u = 0; u < b; ++u) {
-          const sched::NodeId id = graph.add_node(
-              [sw, tw, pat, out, u, mixed](int) {
-                FSI_OBS_SPAN("fsi.wrap");
-                if (mixed)
-                  selinv::wrap_panel(*sw->ops_f, sw->gtilde_f, pat, tw->sel,
-                                     *out, u);
-                else
-                  selinv::wrap_panel(*sw->ops, sw->gtilde, pat, tw->sel, *out,
-                                     u);
-              },
-              sched::Stage::Wrap, hint);
-          graph.add_edge(bsofi_node, id);
-          fences.push_back(id);
-        }
-      };
-      emit_wrap(pcyclic::Pattern::AllDiagonals, &sw->diag);
-      if (tw->heavy) {
-        emit_wrap(pcyclic::Pattern::Rows, &sw->rows);
-        emit_wrap(pcyclic::Pattern::Columns, &sw->cols);
+      // The equal-time walks: b diagonal walks per spin, stored.
+      for (index_t u = 0; u < b; ++u) {
+        const sched::NodeId id = graph.add_node(
+            [sw, tw, u, mixed](int) {
+              FSI_OBS_SPAN("fsi.wrap");
+              if (mixed)
+                selinv::wrap_panel(*sw->ops_f, sw->gtilde_f,
+                                   pcyclic::Pattern::AllDiagonals, tw->sel,
+                                   sw->diag, u);
+              else
+                selinv::wrap_panel(*sw->ops, sw->gtilde,
+                                   pcyclic::Pattern::AllDiagonals, tw->sel,
+                                   sw->diag, u);
+            },
+            sched::Stage::Wrap, hint);
+        graph.add_edge(bsofi_node, id);
+        fences.push_back(id);
       }
     }
 
-    // Mixed tasks get a gate node between the wrap fences and the
-    // measurement: check cond1, finiteness and (heavy tasks) the probed
-    // residual of both spins against selinv::mixed_gate(); on a trip,
+    // Heavy tasks: one fused node per seed unit walks the Rows and Columns
+    // panels of both spins and sums SPXX line by line; no block is stored.
+    if (tw->heavy) {
+      tw->spxx_sums.assign(
+          static_cast<std::size_t>(b * l) * static_cast<std::size_t>(dmax),
+          0.0);
+      if (mixed) tw->ends.resize(static_cast<std::size_t>(b));
+      for (index_t u = 0; u < b; ++u) {
+        const sched::NodeId id = graph.add_node(
+            [&lat, tw, u, mixed](int) { fused_unit(lat, *tw, u, mixed); },
+            sched::Stage::Wrap, hint);
+        graph.add_edge(bsofi_nodes[0], id);
+        graph.add_edge(bsofi_nodes[1], id);
+        fences.push_back(id);
+      }
+    }
+
+    // Mixed tasks get a gate node between the walk fences and the
+    // measurement: check cond1, finiteness and (heavy tasks) the seam
+    // residuals of both spins against selinv::mixed_gate(); on a trip,
     // recompute the whole task serially in fp64 in-node, so the measurement
     // downstream always consumes gated data.
     sched::NodeId gate_node = 0;
     if (mixed) {
       gate_node = graph.add_node(
-          [tw, t, c, q, &mixed_tasks, &mixed_fallbacks](int) {
+          [&lat, tw, t, c, q, &mixed_tasks, &mixed_fallbacks](int) {
             FSI_OBS_SPAN("fsi.mixed_gate");
             mixed_tasks.fetch_add(1, std::memory_order_relaxed);
             obs::metrics::add(obs::metrics::Counter::MixedRuns, 1);
             const selinv::MixedGate gate = selinv::mixed_gate();
             const char* reason = nullptr;
-            for (SpinWork* s : {&tw->up, &tw->dn}) {
-              if (!(s->cond1 <= gate.cond_max)) reason = "cond1";
-              else if (!dense::all_finite(s->gtilde.view()))
+            for (std::size_t s = 0; s < 2 && reason == nullptr; ++s) {
+              const SpinWork& sw = s == 0 ? tw->up : tw->dn;
+              if (!(sw.cond1 <= gate.cond_max)) {
+                reason = "cond1";
+              } else if (!dense::all_finite(sw.gtilde.view())) {
                 reason = "nonfinite";
-              else if (tw->heavy) {
-                for (const pcyclic::SelectedInversion* out :
-                     {&s->rows, &s->cols}) {
-                  const double r = selinv::probe_residual(
-                      *s->mat, *out, out->pattern(), tw->sel);
-                  if (r >= 0.0) obs::health::record_residual(r);
-                  if (!(r <= gate.resid_max)) reason = "residual";
-                }
+              } else if (tw->heavy) {
+                const double r = worst_seam_residual(*sw.mat, *tw, s);
+                obs::health::record_residual(r);
+                if (!(r <= gate.resid_max)) reason = "residual";
               }
-              if (reason != nullptr) break;
             }
             // fp32 context is spent either way.
             for (SpinWork* s : {&tw->up, &tw->dn}) {
               sched::recycle(std::move(s->gtilde_f));
               s->ops_f.reset();
+            }
+            for (WalkEnds& e : tw->ends) {
+              for (std::size_t p = 0; p < kPanels; ++p) {
+                sched::recycle(std::move(e.first[p]));
+                sched::recycle(std::move(e.last[p]));
+              }
             }
             if (reason == nullptr) return;
             mixed_fallbacks.fetch_add(1, std::memory_order_relaxed);
@@ -234,16 +387,10 @@ std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
               s->diag = selinv::wrap(*s->ops, s->gtilde,
                                      pcyclic::Pattern::AllDiagonals, tw->sel,
                                      false);
-              if (tw->heavy) {
-                s->rows.release_blocks();
-                s->rows = selinv::wrap(*s->ops, s->gtilde,
-                                       pcyclic::Pattern::Rows, tw->sel, false);
-                s->cols.release_blocks();
-                s->cols = selinv::wrap(*s->ops, s->gtilde,
-                                       pcyclic::Pattern::Columns, tw->sel,
-                                       false);
-              }
             }
+            if (!tw->heavy) return;
+            for (index_t u = 0; u < tw->sel.b(); ++u)
+              fused_unit(lat, *tw, u, false);
           },
           sched::Stage::Measure, hint);
       for (sched::NodeId id : fences) graph.add_edge(id, gate_node);
@@ -262,12 +409,11 @@ std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
           accumulate_equal_time(model.lattice(), tw->up.diag, tw->dn.diag,
                                 model.params().t, 1.0, false, task_meas);
           if (tw->heavy)
-            accumulate_spxx(model.lattice(), tw->up.rows, tw->up.cols,
-                            tw->dn.rows, tw->dn.cols, 1.0, false, task_meas);
+            reduce_spxx(model.lattice(), tw->sel, tw->spxx_sums, 1.0,
+                        task_meas);
+          std::vector<double>().swap(tw->spxx_sums);
           for (SpinWork* s : {&tw->up, &tw->dn}) {
             s->diag.release_blocks();
-            s->rows.release_blocks();
-            s->cols.release_blocks();
             s->ops.reset();
             s->mat.reset();
           }

@@ -1,9 +1,11 @@
 /// Unit tests for the Level-1/2/3 kernels against naive references,
 /// including a parameterised sweep over the sizes / transposes / scalars
-/// that exercise both the small serial path and the packed parallel path.
+/// that exercise the unpacked skinny path, the packed one-thread path and
+/// the packed OpenMP path of gemm.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <tuple>
 
@@ -56,7 +58,8 @@ TEST_P(GemmTest, MatchesNaiveReference) {
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GemmTest,
     ::testing::Values(
-        // Small path (below the parallel threshold).
+        // Unpacked path (m < MR, n < NR or k < kGemmPackedMinK) and the
+        // packed path on one thread (below kParallelFlopThreshold).
         GemmCase{1, 1, 1, Trans::No, Trans::No, 1.0, 0.0},
         GemmCase{3, 5, 7, Trans::No, Trans::No, 2.0, 0.5},
         GemmCase{8, 6, 256, Trans::No, Trans::No, 1.0, 1.0},
@@ -95,6 +98,26 @@ TEST(Gemm, BetaZeroOverwritesNaNs) {
   c.fill(std::numeric_limits<double>::quiet_NaN());
   gemm(Trans::No, Trans::No, 1.0, a, b, 0.0, c);
   expect_close(c, Matrix::identity(4), 0.0, "beta=0");
+}
+
+TEST(Gemm, NaNInATimesZeroBColumnReachesC) {
+  // 0 * NaN is NaN: a zero entry of B must not skip the product with A on
+  // either path, or a non-finite value would vanish depending on the shape.
+  struct Shape {
+    index_t m, n, k;
+  };
+  for (const Shape sh : {Shape{5, 3, 4}, Shape{64, 64, 64}}) {
+    SCOPED_TRACE("m=" + std::to_string(sh.m) + " k=" + std::to_string(sh.k));
+    util::Rng rng(9);
+    Matrix a = random_matrix(sh.m, sh.k, rng);
+    Matrix b = random_matrix(sh.k, sh.n, rng);
+    a(1, 2) = std::numeric_limits<double>::quiet_NaN();
+    for (index_t i = 0; i < sh.k; ++i) b(i, 0) = 0.0;
+    Matrix c(sh.m, sh.n);
+    gemm(Trans::No, Trans::No, 1.0, a, b, 0.0, c);
+    EXPECT_TRUE(std::isnan(c(1, 0)));
+    EXPECT_FALSE(all_finite(c.view()));
+  }
 }
 
 TEST(Gemm, DimensionMismatchThrows) {
@@ -363,6 +386,71 @@ TYPED_TEST(TypedBlas, GemmPackedPathAroundKcBlockingAllTransposes) {
       }
     }
   }
+}
+
+TYPED_TEST(TypedBlas, GemmAtThePackedCutoffAllTransposes) {
+  // Shapes on each side of the packed-path rule (m >= MR, n >= NR,
+  // k >= kGemmPackedMinK), all four trans combinations, beta = 0 over a
+  // NaN-filled C and beta = 0.5.
+  using T = TypeParam;
+  using fsi::testing::naive_gemm_t;
+  using fsi::testing::random_matrix_t;
+  constexpr index_t kMr = GemmTile<T>::kMr;
+  constexpr index_t kNr = GemmTile<T>::kNr;
+  for (const index_t m : {kMr - 1, kMr}) {
+    for (const index_t n : {kNr - 1, kNr}) {
+      for (const index_t k :
+           {kGemmPackedMinK - 1, kGemmPackedMinK, kGemmPackedMinK + 1}) {
+        for (Trans ta : {Trans::No, Trans::Yes}) {
+          for (Trans tb : {Trans::No, Trans::Yes}) {
+            for (const T beta : {T(0), T(0.5)}) {
+              SCOPED_TRACE("m=" + std::to_string(m) + " n=" +
+                           std::to_string(n) + " k=" + std::to_string(k) +
+                           " ta=" + std::to_string(ta == Trans::Yes) +
+                           " tb=" + std::to_string(tb == Trans::Yes) +
+                           " beta=" + std::to_string(beta));
+              util::Rng rng(45, static_cast<std::uint64_t>(m * 1000 + n * 100 + k));
+              BasicMatrix<T> a = (ta == Trans::No) ? random_matrix_t<T>(m, k, rng)
+                                                   : random_matrix_t<T>(k, m, rng);
+              BasicMatrix<T> b = (tb == Trans::No) ? random_matrix_t<T>(k, n, rng)
+                                                   : random_matrix_t<T>(n, k, rng);
+              BasicMatrix<T> c = random_matrix_t<T>(m, n, rng);
+              BasicMatrix<T> c_ref = c;
+              if (beta == T(0)) {
+                c.fill(std::numeric_limits<T>::quiet_NaN());
+                c_ref.fill(T(0));
+              }
+              gemm(ta, tb, T(0.75), a, b, beta, c);
+              naive_gemm_t<T>(ta, tb, T(0.75), a, b, beta, c_ref);
+              fsi::testing::expect_close(c, c_ref, fsi::testing::Tol<T>::tight,
+                                         "gemm at the packed cutoff");
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TYPED_TEST(TypedBlas, GemmOneAndFourThreadsBitIdenticalAboveThreshold) {
+  // Past kParallelFlopThreshold the packed path opens an OpenMP team; every
+  // C tile is still summed by one thread in one order.
+  using T = TypeParam;
+  const index_t m = 150, n = 130, k = 300;
+  ASSERT_GE(2.0 * m * n * k, static_cast<double>(kParallelFlopThreshold));
+  util::Rng rng(46);
+  const BasicMatrix<T> a = fsi::testing::random_matrix_t<T>(k, m, rng);
+  const BasicMatrix<T> b = fsi::testing::random_matrix_t<T>(k, n, rng);
+  const BasicMatrix<T> c0 = fsi::testing::random_matrix_t<T>(m, n, rng);
+  BasicMatrix<T> c1 = c0, c4 = c0;
+  const int before = omp_get_max_threads();
+  omp_set_num_threads(1);
+  gemm(Trans::Yes, Trans::No, T(-1), a, b, T(0.5), c1);
+  omp_set_num_threads(4);
+  gemm(Trans::Yes, Trans::No, T(-1), a, b, T(0.5), c4);
+  omp_set_num_threads(before);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < m; ++i) ASSERT_EQ(c1(i, j), c4(i, j)) << i << "," << j;
 }
 
 TYPED_TEST(TypedBlas, TrsmTrmmRoundTrip) {

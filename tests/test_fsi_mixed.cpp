@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "fsi/bsofi/bsofi.hpp"
 #include "fsi/dense/norms.hpp"
+#include "fsi/obs/log.hpp"
 #include "fsi/obs/metrics.hpp"
 #include "fsi/pcyclic/adjacency.hpp"
 #include "fsi/pcyclic/explicit_inverse.hpp"
@@ -297,6 +299,97 @@ TEST(FsiMixedBatch, ForcedFallbackRecomputesEveryTaskInFp64) {
     for (std::size_t i = 0; i < r.size(); ++i)
       EXPECT_NEAR(g[i], r[i], 1e-12 * (1.0 + std::abs(r[i])))
           << "task " << t << " measurement " << i;
+  }
+}
+
+TEST(FsiMixedBatch, ResidualOnlyTripFallsBack) {
+  // cond1 can never trip and the residual always does: every heavy task
+  // must fall back on its seam residual (light tasks have no residual to
+  // check and stay mixed), and its fp64 redo must match a pure-fp64 batch.
+  GateGuard guard;
+  qmc::HubbardParams p;
+  p.u = 2.0;
+  p.beta = 1.0;
+  p.l = 9;
+  const qmc::HubbardModel model(qmc::Lattice::chain(4), p);
+  std::vector<qmc::FsiBatchTask> tasks = make_tasks(model, 4);
+  tasks[2].heavy = false;
+  for (std::size_t t = 0; t < tasks.size(); ++t)
+    tasks[t].q = static_cast<index_t>(t % 3);
+
+  qmc::FsiBatchOptions opts;
+  opts.cluster_size = 3;
+  opts.precision = Precision::Fp64;
+  const auto ref = qmc::run_fsi_batch(model, tasks, opts);
+
+  std::FILE* sink = std::tmpfile();
+  ASSERT_NE(sink, nullptr);
+  const obs::log::Format format = obs::log::format();
+  obs::log::set_format(obs::log::Format::Logfmt);
+  obs::log::set_stream(sink);
+  selinv::set_mixed_gate({0.0, 1e300});
+  opts.precision = Precision::Mixed;
+  qmc::SchedSummary sched;
+  const auto got = qmc::run_fsi_batch(model, tasks, opts, &sched);
+  obs::log::set_stream(nullptr);
+  obs::log::set_format(format);
+
+  std::string log;
+  std::rewind(sink);
+  for (int ch; (ch = std::fgetc(sink)) != EOF;) log.push_back(static_cast<char>(ch));
+  std::fclose(sink);
+  std::size_t residual_trips = 0, fallbacks_logged = 0;
+  for (std::size_t at = 0; (at = log.find("qmc.mixed_fallback", at)) != std::string::npos;
+       ++at) {
+    ++fallbacks_logged;
+    const std::string line = log.substr(at, log.find('\n', at) - at);
+    if (line.find("reason=residual") != std::string::npos) ++residual_trips;
+  }
+  EXPECT_EQ(sched.mixed_tasks, 4u);
+  EXPECT_EQ(sched.mixed_fallbacks, 3u);
+  EXPECT_EQ(fallbacks_logged, 3u) << log;
+  EXPECT_EQ(residual_trips, 3u) << log;
+
+  ASSERT_EQ(got.size(), ref.size());
+  for (std::size_t t = 0; t < ref.size(); ++t) {
+    if (!tasks[t].heavy) continue;
+    const auto r = ref[t].serialize();
+    const auto g = got[t].serialize();
+    ASSERT_EQ(g.size(), r.size());
+    for (std::size_t i = 0; i < r.size(); ++i)
+      EXPECT_NEAR(g[i], r[i], 1e-12 * (1.0 + std::abs(r[i])))
+          << "task " << t << " measurement " << i;
+  }
+}
+
+TEST(FsiMixedBatch, SeamResidualIsRoundOffForAnExactWalk) {
+  // seam_residual on two fp64 walks' meeting lines is fp64 round-off; a
+  // perturbed line shows up in the residual at its own size.
+  const index_t n = 4, l = 6, c = 3, q = 1;
+  pcyclic::PCyclicMatrix m = hubbard_matrix(n, l, 2.0, 1.0, 0xE5);
+  const Matrix g = pcyclic::full_inverse_dense(m);
+  const pcyclic::Selection sel(l, c, q);
+  const auto idx = sel.indices();
+  const index_t b = sel.b();
+  for (index_t a = 0; a < l; ++a) {
+    const index_t next = (a + 1) % l;
+    Matrix col_lo(n, b * n), col_hi(n, b * n), row_lo(b * n, n), row_hi(b * n, n);
+    for (index_t j = 0; j < b; ++j) {
+      dense::copy(g.block(a * n, idx[j] * n, n, n), col_lo.block(0, j * n, n, n));
+      dense::copy(g.block(next * n, idx[j] * n, n, n), col_hi.block(0, j * n, n, n));
+      dense::copy(g.block(idx[j] * n, a * n, n, n), row_lo.block(j * n, 0, n, n));
+      dense::copy(g.block(idx[j] * n, next * n, n, n), row_hi.block(j * n, 0, n, n));
+    }
+    EXPECT_LT(selinv::seam_residual(m, pcyclic::Pattern::Columns, sel, a, col_lo, col_hi),
+              1e-10) << "a=" << a;
+    EXPECT_LT(selinv::seam_residual(m, pcyclic::Pattern::Rows, sel, a, row_lo, row_hi),
+              1e-10) << "a=" << a;
+    col_hi(1, 0) += 1e-3;
+    row_lo(0, 1) += 1e-3;
+    EXPECT_GT(selinv::seam_residual(m, pcyclic::Pattern::Columns, sel, a, col_lo, col_hi),
+              5e-4) << "a=" << a;
+    EXPECT_GT(selinv::seam_residual(m, pcyclic::Pattern::Rows, sel, a, row_lo, row_hi),
+              5e-4) << "a=" << a;
   }
 }
 

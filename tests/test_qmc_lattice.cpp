@@ -80,6 +80,20 @@ TEST(Lattice, DistanceClassSizesSumToAllPairs) {
   EXPECT_EQ(total, lat.num_sites() * lat.num_sites());
 }
 
+TEST(Lattice, DistanceClassTableMatchesDistanceClass) {
+  for (const Lattice& lat :
+       {Lattice::rectangle(4, 3), Lattice::chain(5),
+        Lattice::from_edges(4, {{0, 1}, {1, 2}, {2, 3}})}) {
+    const index_t n = lat.num_sites();
+    const auto& table = lat.distance_class_table();
+    ASSERT_EQ(table.size(), static_cast<std::size_t>(n * n));
+    for (index_t j = 0; j < n; ++j)
+      for (index_t i = 0; i < n; ++i)
+        EXPECT_EQ(table[static_cast<std::size_t>(i + j * n)],
+                  lat.distance_class(i, j));
+  }
+}
+
 TEST(Lattice, PeriodicDistanceFolding) {
   Lattice lat = Lattice::chain(6);
   // Sites 0 and 5 are distance 1 apart (periodic), not 5.

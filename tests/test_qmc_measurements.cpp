@@ -235,9 +235,45 @@ TEST(Spxx, SerialAndParallelAgree) {
                   true, par);
   accumulate_spxx(model.lattice(), up.rows, up.cols, dn.rows, dn.cols, 1.0,
                   false, ser);
+  // Each thread fills its own slot of the class sums; reduce_spxx then sums
+  // them in one order, so threading does not change a bit.
   for (index_t tau = 0; tau < l; ++tau)
     for (index_t d = 0; d < dmax; ++d)
-      EXPECT_NEAR(par.spxx(tau, d), ser.spxx(tau, d), 1e-13);
+      EXPECT_EQ(par.spxx(tau, d), ser.spxx(tau, d));
+}
+
+TEST(Spxx, BlockKernelReadsStridedPanelViews) {
+  // spxx_block on N x N blocks of bN-wide panels (ld = bN, as the fused
+  // batch walk passes them) against the definition on compact copies.
+  const Lattice lat = Lattice::rectangle(3, 2);
+  const index_t n = lat.num_sites(), b = 3;
+  const index_t dmax = lat.num_distance_classes();
+  util::Rng rng(705);
+  Matrix rows_up = fsi::testing::random_matrix(b * n, n, rng);
+  Matrix rows_dn = fsi::testing::random_matrix(b * n, n, rng);
+  Matrix cols_up = fsi::testing::random_matrix(n, b * n, rng);
+  Matrix cols_dn = fsi::testing::random_matrix(n, b * n, rng);
+  for (index_t j = 0; j < b; ++j) {
+    const dense::ConstMatrixView gu_kl = rows_up.block(j * n, 0, n, n);
+    const dense::ConstMatrixView gd_kl = rows_dn.block(j * n, 0, n, n);
+    const dense::ConstMatrixView gu_lk = cols_up.block(0, j * n, n, n);
+    const dense::ConstMatrixView gd_lk = cols_dn.block(0, j * n, n, n);
+    std::vector<double> got(static_cast<std::size_t>(dmax), -1.0);
+    spxx_block(lat, gu_kl, gd_lk, gd_kl, gu_lk, got.data());
+    std::vector<double> compact(static_cast<std::size_t>(dmax), -1.0);
+    spxx_block(lat, Matrix::copy_of(gu_kl), Matrix::copy_of(gd_lk),
+               Matrix::copy_of(gd_kl), Matrix::copy_of(gu_lk), compact.data());
+    std::vector<double> ref(static_cast<std::size_t>(dmax), 0.0);
+    for (index_t jj = 0; jj < n; ++jj)
+      for (index_t i = 0; i < n; ++i)
+        ref[static_cast<std::size_t>(lat.distance_class(i, jj))] +=
+            gu_kl(i, jj) * gd_lk(jj, i) + gd_kl(i, jj) * gu_lk(jj, i);
+    for (index_t d = 0; d < dmax; ++d) {
+      const auto sd = static_cast<std::size_t>(d);
+      EXPECT_EQ(got[sd], compact[sd]) << "j=" << j << " d=" << d;
+      EXPECT_NEAR(got[sd], ref[sd], 1e-13) << "j=" << j << " d=" << d;
+    }
+  }
 }
 
 TEST(Spxx, MismatchedPatternsThrow) {

@@ -232,6 +232,33 @@ TEST(MultiGfSched, BatchEngineBitIdenticalToSerialReference) {
                                  std::to_string(t));
     }
   }
+
+  // Every cluster size the fused walks treat differently (c = 1: seeds
+  // only; even and odd c: unequal up/down step counts; c = L: one walk
+  // that meets itself across the wrap) at every offset q, so walks start
+  // and end on both sides of the L-1 -> 0 wrap.
+  util::Rng field_rng(77);
+  for (const dense::index_t c : {dense::index_t{1}, dense::index_t{2},
+                                 dense::index_t{3}, l}) {
+    for (dense::index_t q = 0; q < c; ++q) {
+      std::vector<qmc::FsiBatchTask> tasks;
+      for (const bool heavy : {true, false, true})
+        tasks.push_back({qmc::HsField(l, model.num_sites(), field_rng), q,
+                         heavy});
+      qmc::FsiBatchOptions batch;
+      batch.num_workers = 2;
+      batch.cluster_size = c;
+      batch.precision = Precision::Fp64;
+      const std::vector<qmc::Measurements> got =
+          qmc::run_fsi_batch(model, tasks, batch);
+      ASSERT_EQ(got.size(), tasks.size());
+      for (std::size_t t = 0; t < tasks.size(); ++t)
+        expect_bit_identical(got[t], serial_reference_task(model, tasks[t], c),
+                             "c=" + std::to_string(c) + " q=" +
+                                 std::to_string(q) + " task=" +
+                                 std::to_string(t));
+    }
+  }
 }
 
 TEST(MultiGfSched, BitIdenticalAcrossRanksThreadsAndSchedules) {
