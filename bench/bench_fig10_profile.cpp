@@ -77,7 +77,7 @@ Profile fsi_profile(const qmc::HubbardModel& model, const qmc::HsField& field,
   qmc::accumulate_equal_time(model.lattice(), up.diag, dn.diag,
                              model.params().t, 1.0, parallel_measure, meas);
   qmc::accumulate_spxx(model.lattice(), up.rows, up.cols, dn.rows, dn.cols, 1.0,
-                       parallel_measure, meas);
+                       meas);
   out.measure = t.seconds();
   return out;
 }
@@ -117,7 +117,7 @@ Profile explicit_profile(const qmc::HubbardModel& model,
   qmc::accumulate_equal_time(model.lattice(), up.diag, dn.diag,
                              model.params().t, 1.0, false, meas);
   qmc::accumulate_spxx(model.lattice(), up.rows, up.cols, dn.rows, dn.cols, 1.0,
-                       false, meas);
+                       meas);
   out.measure = t.seconds();
   return out;
 }

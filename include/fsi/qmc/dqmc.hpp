@@ -3,22 +3,27 @@
 /// \brief The full DQMC simulation driver (paper Alg. 4 / Fig. 7).
 ///
 /// A simulation runs `warmup` sweeps to thermalise the Hubbard-Stratonovich
-/// field, then `measurement` sweeps; after each measurement sweep it builds
-/// the Hubbard matrices M^up/M^dn for the current field and computes the
-/// Green's-function blocks that the physical measurements need — all L
-/// diagonal blocks plus b block rows and b block columns (the Fig. 10
-/// workload) — with one of two engines:
+/// field, then `measurement` sweeps; after each measurement sweep it runs
+/// the configuration through qmc::run_fsi_batch as a one-task batch — the
+/// same graph as the paper's many-Green's-function mode (Alg. 3): build
+/// M^up/M^dn, CLS + BSOFI once per spin, then walk all L diagonal blocks
+/// and (with measure_time_dependent) the b block rows and b block columns
+/// (the Fig. 10 workload), measuring SPXX and the pair susceptibility as
+/// the walks go, weighted by the chain's Monte Carlo sign.  The two
+/// engines differ only in how that graph is executed:
 ///
-///   - GreensEngine::Fsi      : the paper's contribution — CLS + BSOFI once,
-///                              then three wrapping passes share the reduced
-///                              inverse; coarse-grain OpenMP over clusters /
-///                              seeds / measurement loops.
+///   - GreensEngine::Fsi      : the paper's contribution — the graph's
+///                              default workers, one OpenMP thread each,
+///                              run the cluster products, BSOFIs and panel
+///                              walks side by side.
 ///   - GreensEngine::MklStyle : the paper's comparator ("pure multi-threaded
-///                              MKL"): identical linear algebra, but the only
-///                              parallelism is inside the dense kernels;
-///                              outer loops and measurements run serially,
-///                              which is what flattens the MKL curves in
-///                              Figs. 8 (bottom), 10 and 11.
+///                              MKL"): one worker walks the nodes in order
+///                              on threaded kernels, which is what flattens
+///                              the MKL curves in Figs. 8 (bottom), 10 and
+///                              11.
+///
+/// Every node runs the same kernels and the measurement sums in one fixed
+/// order, so the result does not depend on the engine or the thread count.
 
 #include <cstdint>
 
@@ -28,11 +33,11 @@
 
 namespace fsi::qmc {
 
-/// How the per-measurement Green's-function blocks are produced.
+/// How the per-measurement one-task batch is executed.
 enum class GreensEngine {
-  Fsi,       ///< FSI with coarse OpenMP + parallel measurements (paper mode)
-  MklStyle,  ///< same algorithm, threaded kernels only, serial outer loops
-             ///< and serial measurements — the paper's "pure MKL" comparator
+  Fsi,       ///< default graph workers, one OpenMP thread each (paper mode)
+  MklStyle,  ///< one graph worker on threaded kernels — the paper's
+             ///< "pure MKL" comparator
 };
 
 /// Simulation options (paper Fig. 11 uses w=100, m=200, c=10).
@@ -53,7 +58,8 @@ struct DqmcOptions {
   /// follows FSI_STAB (QrAccumulate when unset — pre-stab behavior, or the
   /// stab::StabilizedChain UDT path for large-beta runs).
   RecomputeMethod recompute = default_recompute_method();
-  /// Also compute the SPXX time-dependent measurement (needs rows+columns).
+  /// Also walk the block rows+columns and measure SPXX and the pair
+  /// susceptibility (the time-dependent measurements).
   bool measure_time_dependent = true;
   std::uint64_t seed = 1234;
 };
@@ -61,8 +67,12 @@ struct DqmcOptions {
 /// Wall-clock breakdown matching the paper's Fig. 10/11 profiles.
 struct DqmcTimings {
   double warmup_seconds = 0.0;   ///< Metropolis sweeps (both phases)
-  double greens_seconds = 0.0;   ///< selected-inversion computation
-  double measure_seconds = 0.0;  ///< physical-measurement accumulation
+  /// Stabilised recomputes plus each measurement batch's wall time outside
+  /// its measure nodes (FSI, and SPXX / pair sums inside the walks).
+  double greens_seconds = 0.0;
+  /// Summed measure-node time of the batches
+  /// (SchedSummary::stage_measure_seconds).
+  double measure_seconds = 0.0;
   double total_seconds = 0.0;
 };
 

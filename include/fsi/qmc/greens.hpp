@@ -27,7 +27,6 @@ namespace fsi::qmc {
 /// How EqualTimeGreens recomputes G from scratch at stabilisation points.
 enum class RecomputeMethod {
   QrAccumulate,  ///< clustered QR-accumulated chain product (default)
-  PartialBsofi,  ///< CLS + one block row of the BSOFI inverse (selinv path)
   Udt,           ///< fsi::stab UDT chain + scale-separated inversion — the
                  ///< large-beta path; accurate where QrAccumulate's wrap
                  ///< drift blows through the obs::health budget
@@ -139,8 +138,8 @@ Matrix equal_time_greens(const HubbardModel& model, const HsField& field,
 
 /// Same G(k, k), computed through the stab::StabilizedChain UDT engine:
 /// the chain is accumulated as U diag(d) T with a pivoted QR every
-/// `cluster_size` slices (FSI_STAB_CLUSTER overrides when set and > 0) and
-/// inverted with the large/small-scale separation.  The accurate path at
+/// `cluster_size` slices and inverted with the large/small-scale
+/// separation.  The accurate path at
 /// large beta*L; see docs/stabilization.md.
 Matrix stabilized_equal_time_greens(const HubbardModel& model,
                                     const HsField& field, Spin spin, index_t k,

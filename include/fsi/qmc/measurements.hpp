@@ -102,11 +102,11 @@ void accumulate_equal_time(const Lattice& lat,
 ///   chi_pair += dtau * (1/(N C(tau))) sum_{k in I, l} sum_ij
 ///                 G^up_{k,l}(i,j) G^dn_{k,l}(i,j).
 /// Needs only Pattern::Rows — one of the selected-inversion shapes FSI
-/// serves directly.
+/// serves directly.  pair_block per (k, l), then reduce_pair_susceptibility.
 void accumulate_pair_susceptibility(const Lattice& lat,
                                     const pcyclic::SelectedInversion& rows_up,
                                     const pcyclic::SelectedInversion& rows_dn,
-                                    double dtau, double sign, bool parallel,
+                                    double dtau, double sign,
                                     Measurements& out);
 
 /// Accumulate the SPXX time-dependent correlation of one configuration.
@@ -116,15 +116,13 @@ void accumulate_pair_susceptibility(const Lattice& lat,
 /// requirement that "block columns and rows are both required".
 /// SPXX(tau, d) = 1/(2 C(tau) |D(d)|) sum_{k in I} sum_{(i,j) in D(d)}
 ///   [G^up_{k,l}(i,j) G^dn_{l,k}(j,i) + G^dn_{k,l}(i,j) G^up_{l,k}(j,i)],
-/// l = (k - tau) mod L.  The spxx_block calls run OpenMP-threaded per the
-/// paper when \p parallel is set; reduce_spxx then sums them in one fixed
-/// order, so the result does not depend on \p parallel.
+/// l = (k - tau) mod L.  spxx_block per (k, l), then reduce_spxx.
 void accumulate_spxx(const Lattice& lat,
                      const pcyclic::SelectedInversion& rows_up,
                      const pcyclic::SelectedInversion& cols_up,
                      const pcyclic::SelectedInversion& rows_dn,
                      const pcyclic::SelectedInversion& cols_dn, double sign,
-                     bool parallel, Measurements& out);
+                     Measurements& out);
 
 /// SPXX class sums of one (k, l) block pair, the element-wise Level-1 kernel
 /// of accumulate_spxx:
@@ -142,5 +140,19 @@ void spxx_block(const Lattice& lat, dense::ConstMatrixView gu_kl,
 void reduce_spxx(const Lattice& lat, const pcyclic::Selection& sel,
                  const std::vector<double>& sums, double sign,
                  Measurements& out);
+
+/// Pair-susceptibility sum of one (k, l) block pair, the Level-1 kernel of
+/// accumulate_pair_susceptibility: sum_ij gu_kl(i,j) gd_kl(i,j), summed
+/// j-outer, i-inner.  The N x N views may be strided blocks of a wider panel.
+double pair_block(dense::ConstMatrixView gu_kl, dense::ConstMatrixView gd_kl);
+
+/// Add one configuration's pair susceptibility from its pair_block sums.
+/// \p sums is b x L: slot (ks, l) holds the sum of the pair
+/// (k = sel.indices()[ks], l), at offset ks L + l.  Summed ks-outer, l-inner
+/// whatever order the sums were produced in.
+void reduce_pair_susceptibility(const Lattice& lat,
+                                const pcyclic::Selection& sel,
+                                const std::vector<double>& sums, double dtau,
+                                double sign, Measurements& out);
 
 }  // namespace fsi::qmc

@@ -13,8 +13,10 @@
 /// A batch runs as one sched::TaskGraph: per task and spin, one
 /// matrix-assembly node, b cluster-product nodes, one BSOFI node and b
 /// AllDiagonals walk nodes; per heavy task, b fused nodes that walk the
-/// Rows and Columns panels of both spins and sum SPXX line by line without
-/// storing a block; then one measurement node per task.  Every
+/// Rows and Columns panels of both spins and sum SPXX and the pair
+/// susceptibility line by line without storing a block; then one
+/// measurement node per task.  run_dqmc runs each measurement sweep's
+/// configuration as a one-task batch.  Every
 /// node of task t starts on worker t*W/T's deque (the paper's contiguous
 /// static split) and idle workers steal the back half of a busy worker's
 /// backlog, so heterogeneous batches (see \ref MultiGfOptions::heavy_fraction)
@@ -108,11 +110,16 @@ MultiGfResult run_parallel_fsi(const HubbardModel& model,
 /// One externally-supplied inversion task for run_fsi_batch.  Unlike
 /// run_parallel_fsi — which derives every field and wrapping offset from its
 /// batch seed — the field and q here come from the caller (the serve path:
-/// each network client ships its own Hubbard-Stratonovich configuration).
+/// each network client ships its own Hubbard-Stratonovich configuration;
+/// run_dqmc: the Markov chain's current configuration).
 struct FsiBatchTask {
   HsField field;     ///< the HS configuration (defines M up to spin)
   index_t q = 0;     ///< wrapping offset in [0, c)
-  bool heavy = true; ///< also walk the Rows/Columns panels and sum SPXX
+  bool heavy = true; ///< also walk the Rows/Columns panels and sum SPXX and
+                     ///< the pair susceptibility
+  /// Monte Carlo sign of the configuration (+1 or -1): the sample's weight
+  /// in Measurements::add_sample and every accumulated sum.
+  double sign = 1.0;
 };
 
 /// Execution knobs of one run_fsi_batch call.
@@ -134,9 +141,13 @@ struct FsiBatchOptions {
 /// task and spin, all on the persistent sched::Executor pool, so a
 /// straggler task's panel walks are stolen by idle workers).  Returns one
 /// Measurements per task, in task order; results are bit-identical to
-/// running selinv::fsi_multi with coarse_parallel = false plus the
-/// measurement accumulators per task, regardless of worker count or steal
-/// order.  \p sched, when non-null, receives the run's scheduler telemetry.
+/// running selinv::fsi_multi with coarse_parallel = false plus the serial
+/// measurement accumulators (equal-time, SPXX, pair susceptibility) per
+/// task, regardless of worker count or steal order.  A heavy fp64 task
+/// picked by obs::health::should_sample_residual() records the seam
+/// residual (selinv::seam_residual) between its walks 0 and 1 for both
+/// spins and patterns.  \p sched, when non-null, receives the run's
+/// scheduler telemetry.
 std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
                                         const std::vector<FsiBatchTask>& tasks,
                                         const FsiBatchOptions& options,

@@ -52,7 +52,7 @@ struct FsiOptions {
   /// (WRP), one thread per unit.
   /// true  = the paper's "FSI with OpenMP" mode;
   /// false = the paper's "pure multi-threaded MKL" comparator (Figs. 8
-  ///         bottom, 10, 11): serial outer loops, threaded kernels only.
+  ///         bottom, 10): serial outer loops, threaded kernels only.
   bool coarse_parallel = true;
   /// Scalar precision of the error-tolerant stages.  Fp64 (the default
   /// unless FSI_PRECISION overrides it) is bit-identical to the historic
@@ -224,9 +224,10 @@ double seam_residual(const pcyclic::PCyclicMatrix& m, Pattern pattern,
 double reduced_cond1(const pcyclic::PCyclicMatrix& reduced,
                      dense::ConstMatrixView gtilde);
 
-/// The full FSI algorithm (paper Alg. 1).  \p rng supplies the random q
-/// when opts.q < 0.  \p stats, when non-null, receives per-stage
-/// times/flops.  Prebuilt \p ops must wrap the same matrix \p m.
+/// The full FSI algorithm (paper Alg. 1): fsi_multi with the single
+/// pattern opts.pattern.  \p rng supplies the random q when opts.q < 0.
+/// \p stats, when non-null, receives per-stage times/flops.  Prebuilt
+/// \p ops must wrap the same matrix \p m.
 pcyclic::SelectedInversion fsi(const pcyclic::PCyclicMatrix& m,
                                const pcyclic::BlockOps& ops,
                                const FsiOptions& opts, util::Rng& rng,
@@ -248,13 +249,6 @@ std::vector<pcyclic::SelectedInversion> fsi_multi(
     const pcyclic::PCyclicMatrix& m, const pcyclic::BlockOps& ops,
     const std::vector<Pattern>& patterns, const FsiOptions& opts,
     util::Rng& rng, FsiStats* stats = nullptr);
-
-/// Stable computation of the single equal-time block G(k, k) via CLS and a
-/// *partial* BSOFI (one block row of the reduced inverse, O(b N^3) instead
-/// of O(b^2 N^3)) — the economical path for one Green's function block.
-/// The offset q is chosen internally so that k is a seed index.
-dense::Matrix equal_time_block(const pcyclic::PCyclicMatrix& m, index_t k,
-                               index_t c);
 
 /// Closed-form flop counts from the paper's Sec. II-C complexity table,
 /// used by the complexity bench to compare measured vs predicted.

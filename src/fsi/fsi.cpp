@@ -487,7 +487,7 @@ bool fsi_mixed_attempt(const PCyclicMatrix& m,
   return ok;
 }
 
-/// Mixed driver shared by fsi() and fsi_multi(): try fp32, fall back to
+/// Mixed driver of fsi_multi(): try fp32, fall back to
 /// fp64 (counted + WARN-logged) when the gate trips or the fp32 inversion
 /// dies on a singular block.  True = \p results holds the accepted mixed
 /// run; false = caller must run the fp64 path (with \p stats freshly
@@ -526,43 +526,7 @@ bool fsi_mixed_try(const PCyclicMatrix& m, const std::vector<Pattern>& patterns,
 
 SelectedInversion fsi(const PCyclicMatrix& m, const pcyclic::BlockOps& ops,
                       const FsiOptions& opts, util::Rng& rng, FsiStats* stats) {
-  FSI_CHECK(&ops.matrix() == &m, "fsi: BlockOps must wrap the same matrix");
-  const index_t c = opts.c;
-  const index_t q =
-      (opts.q >= 0) ? opts.q : static_cast<index_t>(rng.below(static_cast<std::uint64_t>(c)));
-  Selection sel(m.num_blocks(), c, q);
-
-  FsiStats local;
-  local.q = q;
-
-  if (opts.precision == Precision::Mixed) {
-    std::vector<SelectedInversion> results;
-    if (fsi_mixed_try(m, {opts.pattern}, sel, opts, results, local)) {
-      if (stats != nullptr) *stats = local;
-      return std::move(results.front());
-    }
-    // Gate tripped: fall through to the fp64 path below, with local
-    // freshly zeroed and mixed_fallback flagged.
-  }
-
-  PCyclicMatrix reduced = [&] {  // Stage 1: CLS.
-    StageMeter meter("fsi.cls", local.seconds_cls, local.flops_cls);
-    return cluster(m, c, q, opts.coarse_parallel);
-  }();
-  dense::Matrix gtilde = [&] {  // Stage 2: BSOFI.
-    StageMeter meter("fsi.bsofi", local.seconds_bsofi, local.flops_bsofi);
-    return bsofi::invert(reduced);
-  }();
-  reduced.release_blocks();  // the clustered products feed only BSOFI
-  SelectedInversion out = [&] {  // Stage 3: WRP.
-    StageMeter meter("fsi.wrap", local.seconds_wrap, local.flops_wrap);
-    return wrap(ops, gtilde, opts.pattern, sel, opts.coarse_parallel);
-  }();
-  sched::recycle(std::move(gtilde));
-  residual_spot_check(m, out, opts.pattern, sel);
-
-  if (stats != nullptr) *stats = local;
-  return out;
+  return std::move(fsi_multi(m, ops, {opts.pattern}, opts, rng, stats).front());
 }
 
 SelectedInversion fsi(const PCyclicMatrix& m, const FsiOptions& opts,
@@ -636,29 +600,6 @@ std::vector<SelectedInversion> fsi_multi(const PCyclicMatrix& m,
     residual_spot_check(m, out[i], patterns[i], sel);
 
   if (stats != nullptr) *stats = local;
-  return out;
-}
-
-dense::Matrix equal_time_block(const PCyclicMatrix& m, index_t k, index_t c) {
-  FSI_OBS_SPAN("fsi.equal_time_block");
-  const index_t l = m.num_blocks();
-  FSI_CHECK(k >= 0 && k < l, "equal_time_block: block index out of range");
-  FSI_CHECK(c > 0 && l % c == 0, "equal_time_block: c must divide L");
-  // Choose q so that k is a selected (seed) index: (k + q + 1) % c == 0.
-  const index_t q = m.wrap(-(k + 1)) % c;
-  Selection sel(l, c, q);
-  FSI_ASSERT(sel.contains(k));
-  // Seed position of k among the selected indices.
-  const index_t k0 = (k + q + 1) / c - 1;
-
-  PCyclicMatrix reduced = cluster(m, c, q);
-  bsofi::Bsofi factor(reduced);
-  reduced.release_blocks();
-  dense::Matrix row = factor.inverse_block_row(k0);
-  factor.release_workspace();
-  const index_t n = m.block_size();
-  dense::Matrix out = dense::Matrix::copy_of(row.block(0, k0 * n, n, n));
-  sched::recycle(std::move(row));
   return out;
 }
 

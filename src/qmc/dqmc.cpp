@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
+#include <vector>
 
 #include "fsi/obs/metrics.hpp"
 #include "fsi/obs/trace.hpp"
-#include "fsi/selinv/fsi.hpp"
+#include "fsi/qmc/multi_gf.hpp"
 #include "fsi/util/timer.hpp"
 
 namespace fsi::qmc {
@@ -61,55 +61,17 @@ index_t metropolis_sweep(const HubbardModel& /*model*/, HsField& field,
   return accepted;
 }
 
-namespace {
-
-/// Selected-inversion bundle for one spin: all diagonals (+ rows/cols when
-/// the time-dependent measurement is on).
-struct GreenBlocks {
-  pcyclic::SelectedInversion diag;
-  std::unique_ptr<pcyclic::SelectedInversion> rows;
-  std::unique_ptr<pcyclic::SelectedInversion> cols;
-};
-
-GreenBlocks compute_green_blocks(const HubbardModel& model, const HsField& field,
-                                 Spin spin, index_t c, index_t q,
-                                 bool coarse_parallel, bool time_dependent) {
-  FSI_OBS_SPAN("dqmc.greens");
-  const pcyclic::PCyclicMatrix m = model.build_m(field, spin);
-  const pcyclic::BlockOps ops(m);
-
-  // fsi_multi shares one CLS + BSOFI across all wrapping passes.  With
-  // coarse_parallel on, the cluster products and panel walks run as OpenMP
-  // loops; coarse_parallel == false keeps the outer loops serial on threaded
-  // kernels.  Either way the result is bit-identical.
-  selinv::FsiOptions opts;
-  opts.c = c;
-  opts.q = q;
-  opts.coarse_parallel = coarse_parallel;
-  std::vector<pcyclic::Pattern> patterns{pcyclic::Pattern::AllDiagonals};
-  if (time_dependent) {
-    patterns.push_back(pcyclic::Pattern::Rows);
-    patterns.push_back(pcyclic::Pattern::Columns);
-  }
-  util::Rng unused(0);  // q is fixed; the rng is not consulted
-  auto blocks = selinv::fsi_multi(m, ops, patterns, opts, unused);
-
-  GreenBlocks out{std::move(blocks[0]), nullptr, nullptr};
-  if (time_dependent) {
-    out.rows = std::make_unique<pcyclic::SelectedInversion>(std::move(blocks[1]));
-    out.cols = std::make_unique<pcyclic::SelectedInversion>(std::move(blocks[2]));
-  }
-  return out;
-}
-
-}  // namespace
-
 DqmcResult run_dqmc(const HubbardModel& model, const DqmcOptions& options) {
   const index_t l = model.params().l;
   const index_t c =
       (options.cluster_size > 0) ? options.cluster_size : default_cluster_size(l);
   FSI_CHECK(l % c == 0, "run_dqmc: cluster size must divide L");
-  const bool coarse = (options.engine == GreensEngine::Fsi);
+  // The engines differ only in how the one-task graph is executed; every
+  // node's kernels and the measurement order are the same, so the results
+  // are bit-identical.
+  FsiBatchOptions batch;
+  batch.cluster_size = c;
+  if (options.engine == GreensEngine::MklStyle) batch.num_workers = 1;
 
   util::Rng rng(options.seed);
   obs::metrics::set(obs::metrics::Gauge::WrapInterval,
@@ -148,38 +110,18 @@ DqmcResult run_dqmc(const HubbardModel& model, const DqmcOptions& options) {
     attempted += l * model.num_sites();
     result.timings.warmup_seconds += phase.seconds();
 
-    // Green's functions for this configuration (both spins share q so that
-    // the SPXX mixed-spin products line up).
+    // Green's functions and measurements of this configuration: a
+    // one-task batch weighted by the chain's sign.
     phase.reset();
     const index_t q = static_cast<index_t>(rng.below(static_cast<std::uint64_t>(c)));
-    GreenBlocks up = compute_green_blocks(model, field, Spin::Up, c, q, coarse,
-                                          options.measure_time_dependent);
-    GreenBlocks dn = compute_green_blocks(model, field, Spin::Down, c, q, coarse,
-                                          options.measure_time_dependent);
-    result.timings.greens_seconds += phase.seconds();
-
-    // Physical measurements.
-    phase.reset();
-    FSI_OBS_SPAN("dqmc.measure");
-    result.measurements.add_sample(sign);
-    accumulate_equal_time(model.lattice(), up.diag, dn.diag, model.params().t,
-                          sign, coarse, result.measurements);
-    if (options.measure_time_dependent) {
-      accumulate_spxx(model.lattice(), *up.rows, *up.cols, *dn.rows, *dn.cols,
-                      sign, coarse, result.measurements);
-      accumulate_pair_susceptibility(model.lattice(), *up.rows, *dn.rows,
-                                     model.params().dtau(), sign, coarse,
-                                     result.measurements);
-    }
-    result.timings.measure_seconds += phase.seconds();
-
-    // Recycle this configuration's Green blocks into the workspace pool so
-    // the next measurement sweep's FSI pass reuses the storage.
-    for (GreenBlocks* g : {&up, &dn}) {
-      g->diag.release_blocks();
-      if (g->rows) g->rows->release_blocks();
-      if (g->cols) g->cols->release_blocks();
-    }
+    const std::vector<FsiBatchTask> task{
+        FsiBatchTask{field, q, options.measure_time_dependent, sign}};
+    SchedSummary sched;
+    result.measurements.merge(
+        run_fsi_batch(model, task, batch, &sched).front());
+    result.timings.measure_seconds += sched.stage_measure_seconds;
+    result.timings.greens_seconds +=
+        phase.seconds() - sched.stage_measure_seconds;
   }
 
   // The stabilised recomputes inside the sweeps are Green's-function work;

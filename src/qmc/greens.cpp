@@ -7,11 +7,9 @@
 #include "fsi/dense/lu.hpp"
 #include "fsi/dense/norms.hpp"
 #include "fsi/dense/qr.hpp"
-#include "fsi/obs/env.hpp"
 #include "fsi/obs/health.hpp"
 #include "fsi/obs/metrics.hpp"
 #include "fsi/obs/trace.hpp"
-#include "fsi/selinv/fsi.hpp"
 #include "fsi/stab/chain.hpp"
 #include "fsi/stab/strategy.hpp"
 #include "fsi/util/timer.hpp"
@@ -35,8 +33,6 @@ Matrix stabilized_equal_time_greens(const HubbardModel& model,
   FSI_CHECK(k >= 0 && k < l, "stabilized_equal_time_greens: slice out of range");
   FSI_CHECK(cluster_size >= 1,
             "stabilized_equal_time_greens: cluster size must be >= 1");
-  const long env_cluster = obs::env_long("FSI_STAB_CLUSTER", 0);
-  if (env_cluster > 0) cluster_size = static_cast<index_t>(env_cluster);
 
   // A(k) = B_k ... B_{k+1}, same factor order as equal_time_greens, held as
   // U diag(d) T with a pivoted QR per cluster; G = (1 + UDT)^-1 via the
@@ -224,12 +220,8 @@ void EqualTimeGreens::recompute() {
   if (method_ == RecomputeMethod::Udt) {
     g_ = stabilized_equal_time_greens(model_, field_, spin_, prev,
                                       cluster_size_);
-  } else if (method_ == RecomputeMethod::QrAccumulate ||
-             l % cluster_size_ != 0 /* partial BSOFI needs c | L */) {
-    g_ = equal_time_greens(model_, field_, spin_, prev, cluster_size_);
   } else {
-    const pcyclic::PCyclicMatrix m = model_.build_m(field_, spin_);
-    g_ = selinv::equal_time_block(m, prev, cluster_size_);
+    g_ = equal_time_greens(model_, field_, spin_, prev, cluster_size_);
   }
   wraps_since_recompute_ = 0;
   ++recomputes_;

@@ -164,34 +164,45 @@ void accumulate_equal_time(const Lattice& lat,
 void accumulate_pair_susceptibility(const Lattice& lat,
                                     const pcyclic::SelectedInversion& rows_up,
                                     const pcyclic::SelectedInversion& rows_dn,
-                                    double dtau, double sign, bool parallel,
+                                    double dtau, double sign,
                                     Measurements& out) {
-  const index_t n = lat.num_sites();
-  const index_t l = rows_up.selection().l_total;
+  const pcyclic::Selection& sel = rows_up.selection();
+  const index_t l = sel.l_total;
   FSI_CHECK(rows_up.pattern() == pcyclic::Pattern::Rows &&
                 rows_dn.pattern() == pcyclic::Pattern::Rows,
             "accumulate_pair_susceptibility: needs Rows patterns");
-  FSI_CHECK(rows_up.selection().q == rows_dn.selection().q,
+  FSI_CHECK(sel.q == rows_dn.selection().q,
             "accumulate_pair_susceptibility: selections must match");
-  const auto selected = rows_up.selection().indices();
-  const double c_tau = static_cast<double>(selected.size());
+  const auto selected = sel.indices();
+  std::vector<double> sums(selected.size() * static_cast<std::size_t>(l));
+  for (std::size_t ks = 0; ks < selected.size(); ++ks)
+    for (index_t ell = 0; ell < l; ++ell)
+      sums[ks * static_cast<std::size_t>(l) + static_cast<std::size_t>(ell)] =
+          pair_block(rows_up.at(selected[ks], ell),
+                     rows_dn.at(selected[ks], ell));
+  reduce_pair_susceptibility(lat, sel, sums, dtau, sign, out);
+}
 
+double pair_block(dense::ConstMatrixView gu_kl, dense::ConstMatrixView gd_kl) {
+  FSI_ASSERT(gu_kl.rows() == gd_kl.rows() && gu_kl.cols() == gd_kl.cols());
+  double s = 0.0;
+  for (index_t j = 0; j < gu_kl.cols(); ++j)
+    for (index_t i = 0; i < gu_kl.rows(); ++i) s += gu_kl(i, j) * gd_kl(i, j);
+  return s;
+}
+
+void reduce_pair_susceptibility(const Lattice& lat,
+                                const pcyclic::Selection& sel,
+                                const std::vector<double>& sums, double dtau,
+                                double sign, Measurements& out) {
+  const std::size_t b = static_cast<std::size_t>(sel.b());
+  FSI_CHECK(sums.size() == b * static_cast<std::size_t>(sel.l_total),
+            "reduce_pair_susceptibility: sums must hold b x L block sums");
   double total = 0.0;
-#pragma omp parallel for collapse(2) reduction(+ : total) \
-    schedule(dynamic) if (parallel)
-  for (std::size_t ks = 0; ks < selected.size(); ++ks) {
-    for (index_t ell = 0; ell < l; ++ell) {
-      const index_t k = selected[ks];
-      const dense::Matrix& gu = rows_up.at(k, ell);
-      const dense::Matrix& gd = rows_dn.at(k, ell);
-      double s = 0.0;
-      for (index_t j = 0; j < n; ++j)
-        for (index_t i = 0; i < n; ++i) s += gu(i, j) * gd(i, j);
-      total += s;
-    }
-  }
+  for (const double s : sums) total += s;  // ks-outer, l-inner by layout
   out.add_pair_susceptibility(sign * dtau * total /
-                              (static_cast<double>(n) * c_tau));
+                              (static_cast<double>(lat.num_sites()) *
+                               static_cast<double>(b)));
 }
 
 void spxx_block(const Lattice& lat, dense::ConstMatrixView gu_kl,
@@ -255,7 +266,7 @@ void accumulate_spxx(const Lattice& lat,
                      const pcyclic::SelectedInversion& cols_up,
                      const pcyclic::SelectedInversion& rows_dn,
                      const pcyclic::SelectedInversion& cols_dn, double sign,
-                     bool parallel, Measurements& out) {
+                     Measurements& out) {
   const pcyclic::Selection& sel = rows_up.selection();
   const index_t l = sel.l_total;
   const index_t dmax = lat.num_distance_classes();
@@ -272,8 +283,6 @@ void accumulate_spxx(const Lattice& lat,
   const auto selected = sel.indices();
   std::vector<double> sums(selected.size() * static_cast<std::size_t>(l) *
                            static_cast<std::size_t>(dmax));
-  // Each (k, l) pair writes its own slot, so the threads need no merge.
-#pragma omp parallel for collapse(2) schedule(dynamic) if (parallel)
   for (std::size_t ks = 0; ks < selected.size(); ++ks) {
     for (index_t ell = 0; ell < l; ++ell) {
       const index_t k = selected[ks];

@@ -47,8 +47,9 @@ struct SpinWork {
 constexpr std::size_t kPanels = 4;
 
 /// fp64 copies of the first and last line of one fused walk, kept for the
-/// mixed gate's seam residuals.
+/// seam residuals; a walk copies only the ends it is asked for.
 struct WalkEnds {
+  bool want_first = false, want_last = false;
   dense::Matrix first[kPanels];  ///< line idx[u] - floor((c-1)/2)
   dense::Matrix last[kPanels];   ///< line idx[u] + floor(c/2)
 };
@@ -56,21 +57,28 @@ struct WalkEnds {
 struct TaskWork {
   pcyclic::Selection sel;
   bool heavy;
+  double sign;
+  /// Heavy fp64 task picked by obs::health::should_sample_residual(): its
+  /// measure node checks the seam between walks 0 and 1.
+  bool sample_residual = false;
   SpinWork up, dn;
-  /// Heavy tasks: SPXX class sums, b x L x dmax (see reduce_spxx), written
-  /// by the fused walk nodes.
-  std::vector<double> spxx_sums;
-  std::vector<WalkEnds> ends;  ///< heavy mixed tasks: one per walk
-  TaskWork(const pcyclic::Selection& s, bool h, index_t nn)
-      : sel(s), heavy(h), up(nn, s), dn(nn, s) {}
+  /// Heavy tasks: SPXX class sums, b x L x dmax (see reduce_spxx), and pair
+  /// susceptibility sums, b x L (see reduce_pair_susceptibility), written by
+  /// the fused walk nodes.
+  std::vector<double> spxx_sums, pair_sums;
+  /// Heavy tasks with a seam check: one per walk (mixed tasks keep both
+  /// ends of every walk, sampled fp64 tasks only the one seam's two lines).
+  std::vector<WalkEnds> ends;
+  TaskWork(const pcyclic::Selection& s, bool h, double sg, index_t nn)
+      : sel(s), heavy(h), sign(sg), up(nn, s), dn(nn, s) {}
 };
 
 /// Walk seed unit \p u's Rows and Columns panels of both spins in lockstep,
 /// the same moves as selinv::wrap_panel, and write each line's SPXX class
-/// sums into tw.spxx_sums while the panels are in cache; nothing else is
-/// stored.  fp32 panels are promoted first,
-/// so SPXX is always summed in fp64.  \p ends, when non-null, receives the
-/// walk's first and last lines.
+/// sums and pair-susceptibility sums into tw.spxx_sums / tw.pair_sums while
+/// the panels are in cache; nothing else is stored.  fp32 panels are
+/// promoted first, so both are always summed in fp64.  \p ends, when
+/// non-null, receives the walk's first and/or last line.
 template <typename T>
 void walk_and_measure(const Lattice& lat, const pcyclic::BasicBlockOps<T>* ops[2],
                 const dense::BasicMatrix<T>* gtilde[2], TaskWork& tw, index_t u,
@@ -123,47 +131,53 @@ void walk_and_measure(const Lattice& lat, const pcyclic::BasicBlockOps<T>* ops[2
         }
         // Pair (k = idx[j], at): G^up(k, at), G^dn(at, k), G^dn(k, at),
         // G^up(at, k).
-        for (index_t j = 0; j < b; ++j)
+        for (index_t j = 0; j < b; ++j) {
+          const auto slot = static_cast<std::size_t>(j * l + at);
           spxx_block(lat, g[0].block(j * n, 0, n, n),
                      g[3].block(0, j * n, n, n), g[2].block(j * n, 0, n, n),
                      g[1].block(0, j * n, n, n),
-                     tw.spxx_sums.data() + static_cast<std::size_t>(j * l + at) *
-                                               static_cast<std::size_t>(dmax));
+                     tw.spxx_sums.data() +
+                         slot * static_cast<std::size_t>(dmax));
+          tw.pair_sums[slot] = pair_block(g[0].block(j * n, 0, n, n),
+                                          g[2].block(j * n, 0, n, n));
+        }
         if (ends == nullptr) return;
         for (std::size_t p = 0; p < kPanels; ++p) {
-          if (at == m.wrap(pos - up_steps))
+          if (ends->want_first && at == m.wrap(pos - up_steps))
             ends->first[p] = sched::acquire_copy(g[p]);
-          if (at == m.wrap(pos + down_steps))
+          if (ends->want_last && at == m.wrap(pos + down_steps))
             ends->last[p] = sched::acquire_copy(g[p]);
         }
       });
   for (dense::Matrix& p : promoted) sched::recycle(std::move(p));
 }
 
-/// The fused node body: fp32 panels for a mixed task, which also keeps the
-/// walk's ends for its gate, fp64 otherwise (and for the gate's fallback).
+/// The fused node body: fp32 panels for a mixed task, fp64 otherwise (and
+/// for the gate's fallback).  Keeps the walk's ends while tw.ends is set.
 void fused_unit(const Lattice& lat, TaskWork& tw, index_t u, bool fp32) {
+  WalkEnds* ends =
+      tw.ends.empty() ? nullptr : &tw.ends[static_cast<std::size_t>(u)];
   if (fp32) {
     const pcyclic::BlockOpsF* ops[2] = {tw.up.ops_f.get(), tw.dn.ops_f.get()};
     const dense::MatrixF* g[2] = {&tw.up.gtilde_f, &tw.dn.gtilde_f};
-    walk_and_measure(lat, ops, g, tw, u,
-                     &tw.ends[static_cast<std::size_t>(u)]);
+    walk_and_measure(lat, ops, g, tw, u, ends);
   } else {
     const pcyclic::BlockOps* ops[2] = {tw.up.ops.get(), tw.dn.ops.get()};
     const dense::Matrix* g[2] = {&tw.up.gtilde, &tw.dn.gtilde};
-    walk_and_measure(lat, ops, g, tw, u, nullptr);
+    walk_and_measure(lat, ops, g, tw, u, ends);
   }
 }
 
-/// Worst seam residual of one spin of a heavy mixed task: for every walk
-/// u, its last line against the first line of walk u+1, in both patterns.
+/// Worst seam residual of one spin of a heavy task: for the first \p seams
+/// walks u, its last line against the first line of walk u+1, in both
+/// patterns.
 double worst_seam_residual(const pcyclic::PCyclicMatrix& m, const TaskWork& tw,
-                           std::size_t spin) {
+                           std::size_t spin, index_t seams) {
   const pcyclic::Selection& sel = tw.sel;
   const index_t b = sel.b();
   const std::vector<index_t> idx = sel.indices();
   double worst = 0.0;
-  for (index_t u = 0; u < b; ++u) {
+  for (index_t u = 0; u < seams; ++u) {
     const WalkEnds& lo = tw.ends[static_cast<std::size_t>(u)];
     const WalkEnds& hi = tw.ends[static_cast<std::size_t>((u + 1) % b)];
     const index_t a = m.wrap(idx[static_cast<std::size_t>(u)] + sel.c / 2);
@@ -176,6 +190,18 @@ double worst_seam_residual(const pcyclic::PCyclicMatrix& m, const TaskWork& tw,
     }
   }
   return worst;
+}
+
+/// Hand the kept walk ends back to the workspace pool; later walks of the
+/// task (the mixed gate's fp64 fallback) then keep none.
+void release_ends(TaskWork& tw) {
+  for (WalkEnds& e : tw.ends) {
+    for (std::size_t p = 0; p < kPanels; ++p) {
+      sched::recycle(std::move(e.first[p]));
+      sched::recycle(std::move(e.last[p]));
+    }
+  }
+  tw.ends.clear();
 }
 
 }  // namespace
@@ -232,7 +258,7 @@ std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
   for (index_t t = 0; t < m_total; ++t) {
     const FsiBatchTask& task = tasks[static_cast<std::size_t>(t)];
     const pcyclic::Selection sel(l, c, task.q);
-    work.push_back(std::make_unique<TaskWork>(sel, task.heavy, n));
+    work.push_back(std::make_unique<TaskWork>(sel, task.heavy, task.sign, n));
     TaskWork* tw = work.back().get();
     const int hint = owner[static_cast<std::size_t>(t)];
     const index_t b = sel.b();
@@ -317,12 +343,23 @@ std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
     }
 
     // Heavy tasks: one fused node per seed unit walks the Rows and Columns
-    // panels of both spins and sums SPXX line by line; no block is stored.
+    // panels of both spins and sums SPXX and the pair susceptibility line by
+    // line; no block is stored.  Mixed tasks keep every walk's ends for the
+    // gate; a sampled fp64 task keeps only the seam between walks 0 and 1.
     if (tw->heavy) {
       tw->spxx_sums.assign(
           static_cast<std::size_t>(b * l) * static_cast<std::size_t>(dmax),
           0.0);
-      if (mixed) tw->ends.resize(static_cast<std::size_t>(b));
+      tw->pair_sums.assign(static_cast<std::size_t>(b * l), 0.0);
+      if (mixed) {
+        tw->ends.resize(static_cast<std::size_t>(b));
+        for (WalkEnds& e : tw->ends) e.want_first = e.want_last = true;
+      } else if (obs::health::should_sample_residual()) {
+        tw->sample_residual = true;
+        tw->ends.resize(static_cast<std::size_t>(b));
+        tw->ends[0].want_last = true;
+        tw->ends[static_cast<std::size_t>(1 % b)].want_first = true;
+      }
       for (index_t u = 0; u < b; ++u) {
         const sched::NodeId id = graph.add_node(
             [&lat, tw, u, mixed](int) { fused_unit(lat, *tw, u, mixed); },
@@ -354,7 +391,8 @@ std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
               } else if (!dense::all_finite(sw.gtilde.view())) {
                 reason = "nonfinite";
               } else if (tw->heavy) {
-                const double r = worst_seam_residual(*sw.mat, *tw, s);
+                const double r =
+                    worst_seam_residual(*sw.mat, *tw, s, tw->sel.b());
                 obs::health::record_residual(r);
                 if (!(r <= gate.resid_max)) reason = "residual";
               }
@@ -364,12 +402,7 @@ std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
               sched::recycle(std::move(s->gtilde_f));
               s->ops_f.reset();
             }
-            for (WalkEnds& e : tw->ends) {
-              for (std::size_t p = 0; p < kPanels; ++p) {
-                sched::recycle(std::move(e.first[p]));
-                sched::recycle(std::move(e.last[p]));
-              }
-            }
+            release_ends(*tw);
             if (reason == nullptr) return;
             mixed_fallbacks.fetch_add(1, std::memory_order_relaxed);
             obs::metrics::add(obs::metrics::Counter::MixedFallbacks, 1);
@@ -396,22 +429,38 @@ std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
       for (sched::NodeId id : fences) graph.add_edge(id, gate_node);
     }
 
-    // The per-task Measure node: serial accumulation into this task's
-    // result slot (fixed floating-point order), then recycle/release
-    // everything back to the workspace pool.
+    // The per-task Measure node: the sampled seam check, then serial
+    // accumulation into this task's result slot (fixed floating-point
+    // order, weighted by the task's sign), then recycle/release everything
+    // back to the workspace pool.
     const sched::NodeId measure = graph.add_node(
         [&model, &results, tw, t](int) {
           FSI_OBS_SPAN("qmc.measure");
+          if (tw->sample_residual) {
+            util::WallTimer health_timer;
+            for (std::size_t s = 0; s < 2; ++s)
+              obs::health::record_residual(worst_seam_residual(
+                  *(s == 0 ? tw->up : tw->dn).mat, *tw, s, 1));
+            release_ends(*tw);
+            obs::metrics::add_seconds(obs::metrics::Accum::HealthCheck,
+                                      health_timer.seconds());
+          }
           sched::recycle(std::move(tw->up.gtilde));
           sched::recycle(std::move(tw->dn.gtilde));
           Measurements& task_meas = results[static_cast<std::size_t>(t)];
-          task_meas.add_sample(1.0);
+          const double sign = tw->sign;
+          task_meas.add_sample(sign);
           accumulate_equal_time(model.lattice(), tw->up.diag, tw->dn.diag,
-                                model.params().t, 1.0, false, task_meas);
-          if (tw->heavy)
-            reduce_spxx(model.lattice(), tw->sel, tw->spxx_sums, 1.0,
+                                model.params().t, sign, false, task_meas);
+          if (tw->heavy) {
+            reduce_spxx(model.lattice(), tw->sel, tw->spxx_sums, sign,
                         task_meas);
+            reduce_pair_susceptibility(model.lattice(), tw->sel,
+                                       tw->pair_sums, model.params().dtau(),
+                                       sign, task_meas);
+          }
           std::vector<double>().swap(tw->spxx_sums);
+          std::vector<double>().swap(tw->pair_sums);
           for (SpinWork* s : {&tw->up, &tw->dn}) {
             s->diag.release_blocks();
             s->ops.reset();

@@ -1,19 +1,14 @@
-/// Tests for the multi-pattern FSI driver and the partial-BSOFI
-/// equal-time-block helper.
+/// Tests for the multi-pattern FSI driver.
 
 #include <gtest/gtest.h>
 
-#include "fsi/dense/norms.hpp"
-#include "fsi/pcyclic/explicit_inverse.hpp"
 #include "fsi/selinv/fsi.hpp"
-#include "testing.hpp"
 
 namespace {
 
 using namespace fsi;
 using dense::index_t;
 using dense::Matrix;
-using fsi::testing::expect_close;
 using pcyclic::PCyclicMatrix;
 
 TEST(FsiMulti, MatchesSinglePatternRuns) {
@@ -32,14 +27,23 @@ TEST(FsiMulti, MatchesSinglePatternRuns) {
   ASSERT_EQ(multi.size(), patterns.size());
   EXPECT_EQ(stats.q, 2);
 
+  // Every block bit for bit: the shared CLS + BSOFI run the same kernels.
   for (std::size_t p = 0; p < patterns.size(); ++p) {
     selinv::FsiOptions single = opts;
     single.pattern = patterns[p];
-    auto ref = selinv::fsi(m, ops, single, opts.q >= 0 ? rng : rng);
+    auto ref = selinv::fsi(m, ops, single, rng);
     ASSERT_EQ(multi[p].size(), ref.size());
-    for (const auto& [k, col] : ref.keys())
-      expect_close(multi[p].at(k, col), ref.at(k, col), 0.0,
-                   pcyclic::pattern_name(patterns[p]));
+    for (const auto& [k, col] : ref.keys()) {
+      const Matrix& got = multi[p].at(k, col);
+      const Matrix& want = ref.at(k, col);
+      ASSERT_EQ(got.rows(), want.rows());
+      ASSERT_EQ(got.cols(), want.cols());
+      for (index_t j = 0; j < want.cols(); ++j)
+        for (index_t i = 0; i < want.rows(); ++i)
+          ASSERT_EQ(got(i, j), want(i, j))
+              << pcyclic::pattern_name(patterns[p]) << " block (" << k << ", "
+              << col << ") entry (" << i << ", " << j << ")";
+    }
   }
 }
 
@@ -70,28 +74,6 @@ TEST(FsiMulti, EmptyPatternListThrows) {
   selinv::FsiOptions opts;
   opts.c = 2;
   EXPECT_THROW(selinv::fsi_multi(m, ops, {}, opts, rng), util::CheckError);
-}
-
-TEST(EqualTimeBlock, MatchesDenseInverseForEveryKAndC) {
-  util::Rng rng(94);
-  const index_t n = 4, l = 12;
-  PCyclicMatrix m = PCyclicMatrix::random(n, l, rng);
-  Matrix g = pcyclic::full_inverse_dense(m);
-  for (index_t c : {index_t{2}, index_t{3}, index_t{4}, index_t{6}}) {
-    for (index_t k = 0; k < l; ++k) {
-      Matrix blk = selinv::equal_time_block(m, k, c);
-      expect_close(blk, pcyclic::dense_block(g, n, k, k), 1e-9,
-                   ("k=" + std::to_string(k) + " c=" + std::to_string(c))
-                       .c_str());
-    }
-  }
-}
-
-TEST(EqualTimeBlock, InvalidArgumentsThrow) {
-  util::Rng rng(95);
-  PCyclicMatrix m = PCyclicMatrix::random(3, 8, rng);
-  EXPECT_THROW(selinv::equal_time_block(m, 8, 2), util::CheckError);
-  EXPECT_THROW(selinv::equal_time_block(m, 0, 3), util::CheckError);  // 3 ∤ 8
 }
 
 }  // namespace

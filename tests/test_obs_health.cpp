@@ -16,6 +16,7 @@
 #include "fsi/obs/metrics.hpp"
 #include "fsi/obs/telemetry.hpp"
 #include "fsi/qmc/greens.hpp"
+#include "fsi/qmc/multi_gf.hpp"
 #include "fsi/selinv/fsi.hpp"
 
 #include "json_checker.hpp"
@@ -255,6 +256,32 @@ TEST_F(ObsHealth, FsiRecordsConditionAndResidual) {
   // A healthy selected inverse satisfies its defining identity to rounding.
   EXPECT_LT(metrics::hist(metrics::Hist::SelResidual).max, 1e-8);
   EXPECT_EQ(health::report().overall, health::Status::Ok);
+}
+
+TEST_F(ObsHealth, HeavyFp64BatchRecordsSeamResiduals) {
+  // Every heavy fp64 task is sampled at period 1 and records one seam
+  // residual per spin; light tasks store no Rows/Columns to check.
+  qmc::HubbardModel model = make_model(6, 16, /*u=*/2.0, /*beta=*/2.0);
+  util::Rng rng(12);
+  std::vector<qmc::FsiBatchTask> tasks;
+  for (const bool heavy : {true, false, true})
+    tasks.push_back({qmc::HsField(16, 6, rng), 3, heavy});
+  qmc::FsiBatchOptions batch;
+  batch.num_workers = 2;
+  batch.cluster_size = 4;
+  batch.precision = Precision::Fp64;
+
+  health::set_sample_every(0);
+  (void)qmc::run_fsi_batch(model, tasks, batch);
+  EXPECT_EQ(row(health::report(), "sel_residual").count, 0u);
+
+  health::set_sample_every(1);
+  (void)qmc::run_fsi_batch(model, tasks, batch);
+  const health::HealthReport rep = health::report();
+  EXPECT_EQ(row(rep, "sel_residual").count, 4u);
+  // A healthy walk meets its neighbour to rounding.
+  EXPECT_LT(row(rep, "sel_residual").worst, 1e-10);
+  EXPECT_EQ(rep.overall, health::Status::Ok);
 }
 
 // -- JSON schemas ------------------------------------------------------------

@@ -92,7 +92,7 @@ TEST(PairSusceptibility, MatchesDenseInverseComputation) {
   Measurements meas(l, model.lattice().num_distance_classes());
   meas.add_sample(1.0);
   accumulate_pair_susceptibility(model.lattice(), rows_up, rows_dn, p.dtau(),
-                                 1.0, true, meas);
+                                 1.0, meas);
 
   // Dense reference.
   Matrix gu = pcyclic::full_inverse_dense(model.build_m(h, Spin::Up));
@@ -142,7 +142,7 @@ TEST(PairSusceptibility, RejectsWrongPatterns) {
   auto rows = selinv::wrap(ops, gtilde, pcyclic::Pattern::Rows, sel);
   Measurements meas(l, model.lattice().num_distance_classes());
   EXPECT_THROW(accumulate_pair_susceptibility(model.lattice(), cols, rows, 0.1,
-                                              1.0, true, meas),
+                                              1.0, meas),
                util::CheckError);
 }
 

@@ -183,7 +183,7 @@ TEST(Spxx, MatchesDenseInverseComputation) {
   Measurements meas(l, dmax);
   meas.add_sample(1.0);
   accumulate_spxx(model.lattice(), up.rows, up.cols, dn.rows, dn.cols, 1.0,
-                  true, meas);
+                  meas);
 
   // Dense reference.
   Matrix gu = pcyclic::full_inverse_dense(model.build_m(h, Spin::Up));
@@ -215,31 +215,6 @@ TEST(Spxx, MatchesDenseInverseComputation) {
           << "tau=" << tau << " d=" << d;
     }
   }
-}
-
-TEST(Spxx, SerialAndParallelAgree) {
-  const index_t nx = 3, l = 4;
-  HubbardParams p;
-  p.l = l;
-  HubbardModel model(Lattice::chain(nx), p);
-  util::Rng rng(703);
-  HsField h(l, nx, rng);
-  Blocks up = fsi_blocks(model, h, Spin::Up, 2, 0);
-  Blocks dn = fsi_blocks(model, h, Spin::Down, 2, 0);
-  const index_t dmax = model.lattice().num_distance_classes();
-
-  Measurements par(l, dmax), ser(l, dmax);
-  par.add_sample(1.0);
-  ser.add_sample(1.0);
-  accumulate_spxx(model.lattice(), up.rows, up.cols, dn.rows, dn.cols, 1.0,
-                  true, par);
-  accumulate_spxx(model.lattice(), up.rows, up.cols, dn.rows, dn.cols, 1.0,
-                  false, ser);
-  // Each thread fills its own slot of the class sums; reduce_spxx then sums
-  // them in one order, so threading does not change a bit.
-  for (index_t tau = 0; tau < l; ++tau)
-    for (index_t d = 0; d < dmax; ++d)
-      EXPECT_EQ(par.spxx(tau, d), ser.spxx(tau, d));
 }
 
 TEST(Spxx, BlockKernelReadsStridedPanelViews) {
@@ -287,10 +262,10 @@ TEST(Spxx, MismatchedPatternsThrow) {
   Blocks dn = fsi_blocks(model, h, Spin::Down, 2, 1);  // different q!
   Measurements meas(l, model.lattice().num_distance_classes());
   EXPECT_THROW(accumulate_spxx(model.lattice(), up.rows, up.cols, dn.rows,
-                               dn.cols, 1.0, true, meas),
+                               dn.cols, 1.0, meas),
                util::CheckError);
   EXPECT_THROW(accumulate_spxx(model.lattice(), up.cols, up.rows, dn.rows,
-                               dn.cols, 1.0, true, meas),
+                               dn.cols, 1.0, meas),
                util::CheckError);
 }
 

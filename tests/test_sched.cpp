@@ -125,8 +125,9 @@ qmc::MultiGfOptions batch_options(int ranks, int threads) {
 }
 
 /// The serial reference of one batch task: selinv::fsi_multi on the serial
-/// pure-kernel pipeline (coarse_parallel = false) per spin, then the same
-/// measurement accumulators the batch engine's measure node calls.
+/// pure-kernel pipeline (coarse_parallel = false) per spin, then the serial
+/// measurement accumulators (equal-time, SPXX, pair susceptibility) whose
+/// sums the batch engine produces and reduces in the same order.
 qmc::Measurements serial_reference_task(const qmc::HubbardModel& model,
                                         const qmc::FsiBatchTask& task,
                                         dense::index_t c) {
@@ -155,9 +156,12 @@ qmc::Measurements serial_reference_task(const qmc::HubbardModel& model,
   const auto& dn = spin[1];
   qmc::accumulate_equal_time(model.lattice(), up[0], dn[0], model.params().t,
                              1.0, false, meas);
-  if (task.heavy)
+  if (task.heavy) {
     qmc::accumulate_spxx(model.lattice(), up[1], up[2], dn[1], dn[2], 1.0,
-                         false, meas);
+                         meas);
+    qmc::accumulate_pair_susceptibility(model.lattice(), up[1], dn[1],
+                                        model.params().dtau(), 1.0, meas);
+  }
   return meas;
 }
 
@@ -283,6 +287,42 @@ TEST(MultiGfSched, BitIdenticalAcrossRanksThreadsAndSchedules) {
     for (std::size_t i = 0; i < expect.size(); ++i)
       EXPECT_EQ(got[i], expect[i]) << "ranks=" << cfg.ranks
                                    << " threads=" << cfg.threads << " i=" << i;
+  }
+}
+
+TEST(MultiGfSched, NegativeSignNegatesEverySumButTheSampleCount) {
+  // The sign is +-1, so weighting by it is exact: a task with sign -1
+  // serialises to the +1 record with every sum negated except the count.
+  fsi::qmc::HubbardParams p;
+  p.l = 6;
+  p.u = 3.0;
+  const qmc::HubbardModel model(qmc::Lattice::chain(3), p);
+  util::Rng rng(505);
+  std::vector<qmc::FsiBatchTask> plus, minus;
+  for (const bool heavy : {true, false}) {
+    const qmc::HsField field(p.l, model.num_sites(), rng);
+    plus.push_back({field, 1, heavy});
+    minus.push_back({field, 1, heavy, -1.0});
+  }
+  qmc::FsiBatchOptions batch;
+  batch.num_workers = 2;
+  batch.cluster_size = 2;
+  batch.precision = Precision::Fp64;
+  const std::vector<qmc::Measurements> want =
+      qmc::run_fsi_batch(model, plus, batch);
+  const std::vector<qmc::Measurements> got =
+      qmc::run_fsi_batch(model, minus, batch);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_NE(want[0].pair_susceptibility(), 0.0);
+  EXPECT_DOUBLE_EQ(got[0].avg_sign(), -1.0);
+  for (std::size_t t = 0; t < want.size(); ++t) {
+    const std::vector<double> w = want[t].serialize();
+    const std::vector<double> g = got[t].serialize();
+    ASSERT_EQ(g.size(), w.size());
+    EXPECT_EQ(g[0], 1.0) << "task " << t;  // the sample count
+    EXPECT_EQ(g[0], w[0]) << "task " << t;
+    for (std::size_t i = 1; i < w.size(); ++i)
+      EXPECT_EQ(g[i], -w[i]) << "task " << t << " entry " << i;
   }
 }
 
