@@ -196,8 +196,8 @@ int main(int argc, char** argv) {
     std::printf("[--paper] explicit baseline projected from the flop model "
                 "(ratio %.0fx)\n\n", flop_ratio);
   }
-  util::Table meas({"path (measured, 1 core)", "Green's fn s", "measurement s",
-                    "total s"});
+  util::Table meas({measured_header("path"), "Green's fn s",
+                    "measurement s", "total s"});
   meas.add_row({"explicit form (Eq. 3) baseline",
                 util::Table::num(exp_p.greens, 3),
                 util::Table::num(exp_p.measure, 3),

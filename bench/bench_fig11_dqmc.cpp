@@ -9,8 +9,9 @@
 ///
 /// Paper workload: (N, L) = (400, 100), (w, m) = (100, 200), c = 10.
 /// Default is scaled down for a quick run; --paper restores the paper's
-/// shape (very long on one core).  Both engines are *measured* on one core
-/// (they run the same Markov chain); the 6/12-thread rows are modeled.
+/// shape (very long on one core).  Both engines are *measured* at this
+/// run's OpenMP thread count, which the table header prints (they run the
+/// same Markov chain); the 6/12-thread rows are modeled.
 ///
 ///   ./bench_fig11_dqmc [--nx 6] [--ny 6] [--L 32] [--warmup 4] [--sweeps 8]
 
@@ -58,8 +59,9 @@ int main(int argc, char** argv) {
   opt.engine = qmc::GreensEngine::MklStyle;
   qmc::DqmcResult mkl_r = qmc::run_dqmc(model, opt);
 
-  util::Table meas({"engine (measured, 1 core)", "sweeps s", "Green's fn s",
-                    "measurements s", "total s", "<n>", "acc."});
+  util::Table meas({measured_header("engine"), "sweeps s",
+                    "Green's fn s", "measurements s", "total s", "<n>",
+                    "acc."});
   auto row = [&](const char* name, const qmc::DqmcResult& r) {
     meas.add_row({name, util::Table::num(r.timings.warmup_seconds, 2),
                   util::Table::num(r.timings.greens_seconds, 2),

@@ -3,29 +3,31 @@
 ///
 /// Runs an in-process serve::Server (real qmc::run_fsi_batch engine) over a
 /// Unix socket and drives it with a pipelined burst of identical-shape
-/// requests, twice: once with the coalescing window open (batching on) and
-/// once with max_batch=1/window=0 (batching off).  Reports the server-side
-/// latency quantiles (p50/p95/p99), the throughput of both modes and their
-/// ratio, and verifies every response bit-identical against the in-process
+/// requests, twice: once at max_batch (coalescing on) and once at
+/// max_batch=1 (coalescing off).  Reports the server-side latency
+/// quantiles (p50/p95/p99), the throughput of both modes and their ratio,
+/// and verifies every response bit-identical against the in-process
 /// reference.
 ///
-/// Two further sections exercise the PR-8 serving features:
+/// Two closed-loop sections guard the one batching rule (take what is
+/// queued for the oldest key, never wait for stragglers):
 ///
-///  - adaptive recovery: a closed-loop client (one request in flight) against
-///    a long fixed window vs the same trace with serve::AdaptivePolicy
-///    enabled.  The fixed window is pure loss for closed-loop traffic; the
-///    policy halves its way down and engages bypass, so the gated
-///    adaptive_recovery_speedup lands well above 1.
-///  - replica scaling: two closed-loop streams with *different* BatchKeys
-///    against one replica, then against two key-sharded replicas
-///    (serve::ShardedClient).  Window waits on distinct replicas overlap
-///    even on one core, so gated replica_scaling > 1.
+///  - closed_loop_vs_unbatched: one client with a single request in flight,
+///    at the default max_batch vs at max_batch=1.  No straggler can arrive,
+///    so the ratio sits at 1: coalescing never taxes a lone client.
+///  - two_key_vs_one_key: two concurrent closed-loop streams with different
+///    BatchKeys on one daemon vs one stream alone (total req/s).  Distinct
+///    keys never share a batch; the ratio shows what one daemon gives a
+///    second independent client.
+///
+/// Each closed-loop section runs 5 runs of alternating short segments (so
+/// host drift cancels within a run) and reports the median run ratio plus
+/// its spread, (q3 - q1) / median, over the runs.
 ///
 /// CI gates on the machine-stable ratios: served_ok_ratio / verified_ratio
 /// (exactly 1.0 when healthy), batch occupancy relative to max_batch, and
-/// the three throughput ratios above (batching_speedup,
-/// adaptive_recovery_speedup, replica_scaling) — ratios of same-host runs
-/// cancel machine speed.  Raw latencies stay ungated.
+/// the three throughput ratios above — ratios of same-host runs cancel
+/// machine speed.  Raw latencies stay ungated.
 
 #include <algorithm>
 #include <atomic>
@@ -40,7 +42,6 @@
 #include "fsi/qmc/multi_gf.hpp"
 #include "fsi/serve/client.hpp"
 #include "fsi/serve/server.hpp"
-#include "fsi/serve/shard.hpp"
 
 namespace {
 
@@ -56,12 +57,6 @@ serve::InvertRequest make_request(std::uint64_t seed, int lx, int l,
   if (u > 0.0) r.u = u;
   r.field = serve::random_field(r.lx, r.ly, r.l, seed);
   return r;
-}
-
-/// Client-side routing key of a request (mirrors ShardedClient::route).
-serve::BatchKey key_of(const serve::InvertRequest& r) {
-  return serve::BatchKey{r.lx, r.ly, r.l, static_cast<qmc::index_t>(r.c),
-                         r.t,  r.u,  r.beta};
 }
 
 std::vector<double> reference(const serve::InvertRequest& req) {
@@ -97,18 +92,13 @@ struct RunResult {
 /// fresh server.  \p verify compares each response against the in-process
 /// reference (bit-identical or it does not count).
 RunResult run_burst(bool batching, int requests, int lx, int l, int max_batch,
-                    long window_us, bool verify) {
+                    bool verify) {
   serve::ServerOptions options;
   options.endpoint = serve::Endpoint::parse(
       "unix:/tmp/fsi_bench_serve_" + std::to_string(::getpid()) +
       (batching ? "_on" : "_off") + ".sock");
   options.queue_depth = static_cast<std::size_t>(requests) + 8;
-  options.batch_window_us = batching ? window_us : 0;
   options.max_batch = batching ? static_cast<std::size_t>(max_batch) : 1;
-  // The "on" arm is the shipped default — adaptive policy included — so the
-  // gated speedup measures batching as an operator would actually run it.
-  // The "off" arm pins the no-coalescing plan.
-  options.adaptive.enabled = batching;
   serve::Server server(std::move(options));
   server.start();
 
@@ -150,88 +140,113 @@ RunResult run_burst(bool batching, int requests, int lx, int l, int max_batch,
   return out;
 }
 
-struct LoopResult {
-  std::uint64_t ok = 0;
-  double wall_s = 0.0;
-  serve::StatsResponse stats;
-};
-
-/// One closed-loop client (a single request in flight at a time), so a
-/// coalescing window is pure loss: no straggler can arrive while the
-/// batcher waits.  With \p adaptive the policy measures exactly that and
-/// bypasses; without it every request pays the full window.
-LoopResult run_closed_loop(bool adaptive, int requests, int lx, int l,
-                           long window_us) {
+/// A started in-process server at \p max_batch (default options
+/// otherwise) on its own Unix socket.
+std::unique_ptr<serve::Server> start_server(std::size_t max_batch,
+                                            const char* tag) {
   serve::ServerOptions options;
   options.endpoint = serve::Endpoint::parse(
-      "unix:/tmp/fsi_bench_serve_" + std::to_string(::getpid()) +
-      (adaptive ? "_adapt" : "_fixed") + ".sock");
-  options.queue_depth = 16;
-  options.batch_window_us = window_us;
-  options.max_batch = 8;
-  options.adaptive.enabled = adaptive;
-  serve::Server server(std::move(options));
-  server.start();
+      "unix:/tmp/fsi_bench_serve_" + std::to_string(::getpid()) + "_" + tag +
+      ".sock");
+  options.max_batch = max_batch;
+  auto server = std::make_unique<serve::Server>(std::move(options));
+  server->start();
+  return server;
+}
 
-  LoopResult out;
-  {
-    serve::Client client(server.endpoint());
-    const std::int64_t t0 = obs::now_ns();
-    for (int i = 0; i < requests; ++i) {
-      const serve::InvertResponse resp =
-          client.request(make_request(2000 + static_cast<std::uint64_t>(i),
-                                      lx, l));
-      if (resp.status == serve::Status::Ok) ++out.ok;
-    }
-    out.wall_s = static_cast<double>(obs::now_ns() - t0) * 1e-9;
-    out.stats = client.stats();
+/// Requests served and wall seconds of one closed-loop segment.
+struct Segment {
+  double requests = 0.0;
+  double wall_s = 0.0;
+};
+
+/// One closed-loop segment against \p server: one client thread per entry
+/// of \p stream_u (its Hubbard U, so distinct entries are distinct
+/// BatchKeys), each with a single request in flight for \p per_stream
+/// requests.  One untimed request per stream first warms its connection
+/// and model.  *ok_out counts timed Ok responses.
+Segment run_closed_loop(const serve::Server& server,
+                       const std::vector<double>& stream_u, int per_stream,
+                       int lx, int l, std::uint64_t* ok_out) {
+  std::atomic<std::uint64_t> ok{0};
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> streams;
+  for (std::size_t s = 0; s < stream_u.size(); ++s) {
+    streams.emplace_back([&, s] {
+      bool counted = false;
+      try {
+        serve::Client client(server.endpoint());
+        const std::uint64_t seed0 = 2000 + 1000 * s;
+        client.request(make_request(seed0, lx, l, stream_u[s]));  // warm-up
+        ready.fetch_add(1);
+        counted = true;
+        while (!go.load()) std::this_thread::yield();
+        for (int i = 1; i <= per_stream; ++i) {
+          const serve::InvertResponse resp = client.request(make_request(
+              seed0 + static_cast<std::uint64_t>(i), lx, l, stream_u[s]));
+          if (resp.status == serve::Status::Ok) ++ok;
+        }
+      } catch (const std::exception& e) {
+        // The missing Ok responses fail the run's served-count check.
+        std::fprintf(stderr, "closed-loop stream %zu: %s\n", s, e.what());
+      }
+      if (!counted) ready.fetch_add(1);
+    });
   }
-  server.stop();
+  while (ready.load() < static_cast<int>(stream_u.size()))
+    std::this_thread::yield();
+  const std::int64_t t0 = obs::now_ns();
+  go.store(true);
+  for (auto& t : streams) t.join();
+  const double wall_s = static_cast<double>(obs::now_ns() - t0) * 1e-9;
+  *ok_out += ok.load();
+  return Segment{static_cast<double>(stream_u.size()) * per_stream, wall_s};
+}
+
+/// Median and relative interquartile spread, (q3 - q1) / median, of
+/// \p xs (linear interpolation between order statistics).
+struct Spread {
+  double median = 0.0;
+  double rel_iqr = 0.0;
+};
+
+Spread spread_of(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  const auto q = [&](double p) {
+    const double pos = p * static_cast<double>(xs.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+    return xs[lo] + (pos - static_cast<double>(lo)) * (xs[hi] - xs[lo]);
+  };
+  Spread out;
+  out.median = q(0.5);
+  out.rel_iqr = out.median > 0 ? (q(0.75) - q(0.25)) / out.median : 0.0;
   return out;
 }
 
-/// Two closed-loop streams with different BatchKeys against a fleet of
-/// \p replicas key-sharded daemons (fixed window, adaptive off).  Window
-/// waits are sleeps, so with the streams on distinct replicas they overlap
-/// even on a single core — that is the scale-out win this measures.
-double run_replicated(std::size_t replicas, int per_stream, int lx, int l,
-                      long window_us, double u_a, double u_b,
-                      std::uint64_t* ok_out) {
-  std::vector<std::unique_ptr<serve::Server>> servers;
-  std::vector<serve::Endpoint> endpoints;
-  for (std::size_t i = 0; i < replicas; ++i) {
-    serve::ServerOptions options;
-    options.endpoint = serve::Endpoint::parse(
-        "unix:/tmp/fsi_bench_serve_" + std::to_string(::getpid()) + "_rep" +
-        std::to_string(replicas) + "_" + std::to_string(i) + ".sock");
-    options.queue_depth = 16;
-    options.batch_window_us = window_us;
-    options.max_batch = 8;
-    options.adaptive.enabled = false;
-    servers.push_back(std::make_unique<serve::Server>(std::move(options)));
-    servers.back()->start();
-    endpoints.push_back(servers.back()->endpoint());
-  }
-
-  std::atomic<std::uint64_t> ok{0};
-  const std::int64_t t0 = obs::now_ns();
-  auto stream = [&](double u, std::uint64_t seed0) {
-    serve::ShardedClient client(endpoints);
-    for (int i = 0; i < per_stream; ++i) {
-      const serve::InvertResponse resp = client.request(
-          make_request(seed0 + static_cast<std::uint64_t>(i), lx, l, u));
-      if (resp.status == serve::Status::Ok) ++ok;
+/// \p runs runs of \p segments alternating (a, b) closed-loop segments.
+/// A run's ratio is arm a's throughput over arm b's, each summed over the
+/// run's segments, so host drift slower than a segment cancels.  Returns
+/// the median and spread of the run ratios.
+template <class A, class B>
+Spread interleaved_ratio(int runs, int segments, A&& arm_a, B&& arm_b) {
+  std::vector<double> ratios;
+  for (int r = 0; r < runs; ++r) {
+    Segment a, b;
+    for (int i = 0; i < segments; ++i) {
+      const Segment sa = arm_a();
+      const Segment sb = arm_b();
+      a.requests += sa.requests;
+      a.wall_s += sa.wall_s;
+      b.requests += sb.requests;
+      b.wall_s += sb.wall_s;
     }
-  };
-  std::thread ta(stream, u_a, 3000);
-  std::thread tb(stream, u_b, 4000);
-  ta.join();
-  tb.join();
-  const double wall_s = static_cast<double>(obs::now_ns() - t0) * 1e-9;
-
-  for (auto& s : servers) s->stop();
-  *ok_out = ok.load();
-  return wall_s;
+    ratios.push_back(a.wall_s > 0 && b.requests > 0
+                         ? (a.requests / a.wall_s) / (b.requests / b.wall_s)
+                         : 0.0);
+  }
+  return spread_of(std::move(ratios));
 }
 
 }  // namespace
@@ -243,7 +258,6 @@ int main(int argc, char** argv) {
   const int lx = cli.get_int("lx", 4);
   const int l = cli.get_int("L", 8);
   const int max_batch = cli.get_int("max-batch", 8);
-  const long window_us = cli.get_int("window-us", 50000);
   const bool verify = !cli.has("no-verify");
   bench::init_trace(cli);
 
@@ -256,11 +270,10 @@ int main(int argc, char** argv) {
   telemetry.add_info("N", lx);
   telemetry.add_info("L", l);
   telemetry.add_info("max_batch", max_batch);
-  telemetry.add_info("window_us", static_cast<double>(window_us));
 
   // Warm-up burst (untimed): first contact pays pool misses and page
   // faults that would otherwise land on whichever mode runs first.
-  run_burst(true, requests, lx, l, max_batch, window_us, false);
+  run_burst(true, requests, lx, l, max_batch, false);
 
   // Interleave repeated on/off pairs and sum the walls: the gated speedup
   // ratio is ~1.1x on one core, so single-burst noise must be averaged out.
@@ -269,8 +282,8 @@ int main(int argc, char** argv) {
   double on_wall = 0.0, off_wall = 0.0;
   std::uint64_t ok_total = 0;
   for (int rep = 0; rep < repeats; ++rep) {
-    on = run_burst(true, requests, lx, l, max_batch, window_us, false);
-    off = run_burst(false, requests, lx, l, max_batch, window_us, false);
+    on = run_burst(true, requests, lx, l, max_batch, false);
+    off = run_burst(false, requests, lx, l, max_batch, false);
     on_wall += on.wall_s;
     off_wall += off.wall_s;
     ok_total += on.ok + off.ok;
@@ -280,7 +293,7 @@ int main(int argc, char** argv) {
   // request, and interleaving it with the timed bursts warms caches for
   // whichever arm runs next, biasing the gated ratio.
   const RunResult checked =
-      verify ? run_burst(true, requests, lx, l, max_batch, window_us, true)
+      verify ? run_burst(true, requests, lx, l, max_batch, true)
              : RunResult{};
   const double total = static_cast<double>(repeats) * requests;
   const double thr_on = on_wall > 0 ? total / on_wall : 0.0;
@@ -308,75 +321,47 @@ int main(int argc, char** argv) {
   std::printf("\nbatching speedup %.2fx, served_ok %.3f, bit-identical %.3f\n",
               speedup, ok_ratio, verified_ratio);
 
-  // --- Adaptive recovery: closed-loop traffic vs a long fixed window ------
-  const int recovery_requests = cli.get_int("recovery-requests", 24);
-  const long recovery_window_us = cli.get_int("recovery-window-us", 5000);
-  telemetry.add_info("recovery_requests", recovery_requests);
-  telemetry.add_info("recovery_window_us",
-                     static_cast<double>(recovery_window_us));
-  const LoopResult fixed = run_closed_loop(false, recovery_requests, lx, l,
-                                           recovery_window_us);
-  const LoopResult adaptive = run_closed_loop(true, recovery_requests, lx, l,
-                                              recovery_window_us);
-  const double thr_fixed =
-      fixed.wall_s > 0 ? recovery_requests / fixed.wall_s : 0.0;
-  const double thr_adaptive =
-      adaptive.wall_s > 0 ? recovery_requests / adaptive.wall_s : 0.0;
-  const double recovery_speedup =
-      thr_fixed > 0 ? thr_adaptive / thr_fixed : 0.0;
-  const bool bypass_engaged = adaptive.stats.policy_bypass != 0;
+  // --- Closed loop: a lone client at the default max_batch vs unbatched --
+  const int loop_runs = 5;
+  const int loop_segments = 8;   // alternating segments per run and arm
+  const int loop_requests = 32;  // per stream and segment
+  telemetry.add_info("loop_runs", loop_runs);
+  telemetry.add_info("loop_segments", loop_segments);
+  telemetry.add_info("loop_requests", loop_requests);
+  // One daemon per max_batch, kept up across the runs so the arms differ
+  // only in the setting under test.
+  const auto batched = start_server(serve::ServerOptions{}.max_batch, "loop");
+  const auto unbatched = start_server(1, "loop1");
+  std::uint64_t loop_ok = 0;
+  const auto loop = [&](const serve::Server& server,
+                        const std::vector<double>& u) {
+    return run_closed_loop(server, u, loop_requests, lx, l, &loop_ok);
+  };
+  const Spread lone = interleaved_ratio(
+      loop_runs, loop_segments, [&] { return loop(*batched, {2.0}); },
+      [&] { return loop(*unbatched, {2.0}); });
+  // --- Two distinct-key closed-loop streams vs one, on one daemon ---------
+  const Spread two_key = interleaved_ratio(
+      loop_runs, loop_segments, [&] { return loop(*batched, {2.0, 2.5}); },
+      [&] { return loop(*batched, {2.0}); });
+  batched->stop();
+  unbatched->stop();
+  // Streams per segment pair: 1 + 1 (lone section), 2 + 1 (two-key).
+  const std::uint64_t loop_expected = static_cast<std::uint64_t>(loop_runs) *
+                                      loop_segments * loop_requests * 5;
 
-  util::Table recovery({"policy", "req/s", "window us", "bypass"});
-  recovery.add_row({"fixed window", util::Table::num(thr_fixed, 1),
-                    util::Table::num(static_cast<double>(recovery_window_us), 0),
-                    "-"});
-  recovery.add_row({"adaptive", util::Table::num(thr_adaptive, 1),
-                    util::Table::num(
-                        static_cast<double>(adaptive.stats.policy_window_us), 0),
-                    bypass_engaged ? "yes" : "no"});
-  recovery.print();
-  std::printf("\nadaptive recovery %.2fx (closed loop, %ld us fixed window)\n",
-              recovery_speedup, recovery_window_us);
-
-  // --- Replica scaling: 1 vs 2 key-sharded replicas -----------------------
-  const int per_stream = cli.get_int("replica-stream", 12);
-  const long replica_window_us = cli.get_int("replica-window-us", 4000);
-  telemetry.add_info("replica_stream", per_stream);
-  telemetry.add_info("replica_window_us",
-                     static_cast<double>(replica_window_us));
-  // Two closed-loop streams must carry different BatchKeys that shard to
-  // different replicas; scan u offsets until the rendezvous hash splits.
-  const double u_a = 2.0;
-  double u_b = 2.5;
-  for (int i = 0; i < 32; ++i) {
-    const auto ka = key_of(make_request(1, lx, l, u_a));
-    const auto kb = key_of(make_request(1, lx, l, u_b));
-    if (serve::shard_for(ka, 2) != serve::shard_for(kb, 2)) break;
-    u_b += 0.5;
-  }
-  std::uint64_t ok1 = 0, ok2 = 0;
-  const double wall1 = run_replicated(1, per_stream, lx, l, replica_window_us,
-                                      u_a, u_b, &ok1);
-  const double wall2 = run_replicated(2, per_stream, lx, l, replica_window_us,
-                                      u_a, u_b, &ok2);
-  const double thr_rep1 = wall1 > 0 ? 2.0 * per_stream / wall1 : 0.0;
-  const double thr_rep2 = wall2 > 0 ? 2.0 * per_stream / wall2 : 0.0;
-  const double replica_scaling = thr_rep1 > 0 ? thr_rep2 / thr_rep1 : 0.0;
-
-  util::Table scaling({"replicas", "req/s", "served ok"});
-  scaling.add_row({"1", util::Table::num(thr_rep1, 1),
-                   util::Table::num(static_cast<double>(ok1), 0)});
-  scaling.add_row({"2 (key-sharded)", util::Table::num(thr_rep2, 1),
-                   util::Table::num(static_cast<double>(ok2), 0)});
-  scaling.print();
-  std::printf("\nreplica scaling %.2fx (two streams, %ld us window)\n",
-              replica_scaling, replica_window_us);
-
-  const bool sections_ok =
-      fixed.ok == static_cast<std::uint64_t>(recovery_requests) &&
-      adaptive.ok == static_cast<std::uint64_t>(recovery_requests) &&
-      ok1 == 2u * static_cast<std::uint64_t>(per_stream) &&
-      ok2 == 2u * static_cast<std::uint64_t>(per_stream);
+  util::Table loops({"closed loop", "median ratio", "(q3-q1)/median"});
+  loops.add_row({"lone client: default max_batch / max_batch 1",
+                 util::Table::num(lone.median, 3),
+                 util::Table::num(lone.rel_iqr, 3)});
+  loops.add_row({"two distinct-key streams / one stream",
+                 util::Table::num(two_key.median, 3),
+                 util::Table::num(two_key.rel_iqr, 3)});
+  loops.print();
+  std::printf("\nclosed loop vs unbatched %.2fx, two keys vs one %.2fx "
+              "(median of %d runs)\n",
+              lone.median, two_key.median, loop_runs);
+  const bool sections_ok = loop_ok == loop_expected;
 
   telemetry.add_metric("latency_p50_ms", on.p50_s * 1e3, "ms", false, false);
   telemetry.add_metric("latency_p95_ms", on.p95_s * 1e3, "ms", false, false);
@@ -388,8 +373,7 @@ int main(int argc, char** argv) {
   telemetry.add_metric("verified_ratio", verified_ratio, "ratio", true, true);
   telemetry.add_metric("batch_occupancy_ratio", occupancy_ratio, "ratio", true,
                        true);
-  // Batching-telemetry plane (ungated: host-dependent): what the adaptive
-  // batching work (ROADMAP item 1) will use as its control inputs.
+  // Batching-telemetry plane (ungated: host-dependent).
   telemetry.add_metric("batch_occupancy_mean", on.occupancy_mean, "req/batch",
                        false, true);
   telemetry.add_metric("queue_high_water_batched",
@@ -398,23 +382,16 @@ int main(int argc, char** argv) {
   telemetry.add_metric("queue_high_water_unbatched",
                        static_cast<double>(off.queue_high_water), "requests",
                        false, false);
-  // Adaptive-recovery plane: the window the policy settled on (should sit
-  // at 0 = bypass for closed-loop traffic) and the gated recovery ratio.
-  telemetry.add_metric("adaptive_recovery_speedup", recovery_speedup, "ratio",
-                       true, true);
-  telemetry.add_metric("adaptive_bypass_engaged", bypass_engaged ? 1.0 : 0.0,
-                       "bool", true, true);
-  telemetry.add_metric("adaptive_final_window_us",
-                       static_cast<double>(adaptive.stats.policy_window_us),
-                       "us", false, false);
-  telemetry.add_metric("throughput_fixed_window", thr_fixed, "req/s", false,
+  // Closed-loop plane: the two gated ratios (medians over the runs) and
+  // their spread, (q3 - q1) / median, over those runs.
+  telemetry.add_metric("closed_loop_vs_unbatched", lone.median, "ratio", true,
                        true);
-  telemetry.add_metric("throughput_adaptive", thr_adaptive, "req/s", false,
+  telemetry.add_metric("closed_loop_vs_unbatched_spread", lone.rel_iqr,
+                       "ratio", false, false);
+  telemetry.add_metric("two_key_vs_one_key", two_key.median, "ratio", true,
                        true);
-  // Replica plane: gated monotone throughput gain from 1 -> 2 replicas.
-  telemetry.add_metric("replica_scaling", replica_scaling, "ratio", true, true);
-  telemetry.add_metric("throughput_replicas_1", thr_rep1, "req/s", false, true);
-  telemetry.add_metric("throughput_replicas_2", thr_rep2, "req/s", false, true);
+  telemetry.add_metric("two_key_vs_one_key_spread", two_key.rel_iqr, "ratio",
+                       false, false);
   bench::finish_bench(telemetry);
   return ok_ratio == 1.0 && verified_ratio == 1.0 && sections_ok ? 0 : 1;
 }

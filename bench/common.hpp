@@ -170,6 +170,14 @@ inline void print_header(const char* figure, const char* claim) {
   std::printf("=====================================================================\n");
 }
 
+/// Header of a measured-results column, e.g. "engine (measured, 4
+/// threads)": the thread count is what this run's OpenMP actually used.
+inline std::string measured_header(const char* what) {
+  const int t = omp_get_max_threads();
+  return std::string(what) + " (measured, " + std::to_string(t) +
+         (t == 1 ? " thread)" : " threads)");
+}
+
 inline void print_host_note() {
   std::printf(
       "[host note] this machine exposes %u hardware threads; OpenMP runs up\n"

@@ -43,8 +43,6 @@ enum class Counter : int {
   ServeCancelled,  ///< requests dropped because the client disconnected
   ServeErrors,     ///< requests answered Malformed or Error
   ServeQuotaRejected,  ///< requests shed because the client was over quota
-  ServeBypassEnter,    ///< adaptive policy transitions into bypass
-  ServeBypassExit,     ///< adaptive policy transitions out of bypass
   MixedRuns,           ///< FSI runs attempted in mixed (fp32 CLS+WRP) mode
   MixedFallbacks,      ///< mixed runs the health gate sent back to fp64
   StabQrp,             ///< pivoted-QR re-orthogonalisations in the UDT chain
@@ -201,10 +199,6 @@ enum class Gauge : int {
   HealthSampleEvery,  ///< residual spot-check sampling period (0 = off)
   ExecPoolWorkers,    ///< threads currently in the persistent executor pool
   ServeQueueDepth,    ///< serve admission-queue depth (sampled on change)
-  ServePolicyWindowUs,  ///< adaptive policy: effective window of the active key
-  ServePolicyMaxBatch,  ///< adaptive policy: effective max batch of the active key
-  ServePolicyBypass,    ///< adaptive policy: 1 when the active key is in bypass
-  ServeReplicas,        ///< daemon replicas sharing this process's endpoint
   StabScaleSpread,      ///< log10(dmax/dmin) of the last UDT chain recombined
   GreensLastDrift,      ///< most recent EqualTimeGreens wrap-drift sample
   GreensMaxDrift,       ///< worst wrap-drift sample since the last reset

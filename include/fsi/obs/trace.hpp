@@ -5,7 +5,8 @@
 /// The paper's whole argument is a per-stage cost breakdown (CLS 2b(c-1)N^3,
 /// BSOFI 7b^2N^3, WRP 3(bL-b^2)N^3, Sec. II-C); this subsystem makes those
 /// stages first-class observable.  A Span records {name, start, duration,
-/// thread} into a lock-free per-thread ring buffer; the global registry can
+/// thread} into a lock-free per-thread event buffer (reused by the next
+/// thread once its thread exits); the global registry can
 /// export every recorded event as chrome://tracing JSON (open in
 /// chrome://tracing or https://ui.perfetto.dev) or aggregate them into a
 /// per-span-name summary (count / total / min / max / p50).
@@ -16,7 +17,7 @@
 /// cheap enough to leave spans compiled into release hot paths.
 ///
 /// OpenMP-awareness: each event records both a stable per-thread id (the
-/// registration order of the recording thread, used as the chrome "tid") and
+/// first-record order of the recording thread, used as the chrome "tid") and
 /// the omp_get_thread_num() at span close, so imbalance across an
 /// `omp parallel for` is visible lane-by-lane in the trace viewer.
 ///
@@ -24,6 +25,7 @@
 /// counters here) and depends only on the standard library.
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -52,6 +54,12 @@ void clear() noexcept;
 
 /// Number of events discarded because a thread's ring buffer was full.
 std::uint64_t dropped_events() noexcept;
+
+/// Event buffers allocated so far.  A thread takes a buffer at its first
+/// recorded span and gives it back at exit; the next new thread appends to
+/// it (events are kept for export), so this stays bounded by the peak
+/// number of live recording threads.
+std::size_t thread_buffer_count() noexcept;
 
 /// Trace timestamp: nanoseconds since the process epoch (steady clock).
 /// Public so intervals that cross threads — e.g. the serve queue wait,

@@ -143,7 +143,8 @@ void reduce_spxx(const Lattice& lat, const pcyclic::Selection& sel,
 
 /// Pair-susceptibility sum of one (k, l) block pair, the Level-1 kernel of
 /// accumulate_pair_susceptibility: sum_ij gu_kl(i,j) gd_kl(i,j), summed
-/// j-outer, i-inner.  The N x N views may be strided blocks of a wider panel.
+/// j-outer, i-inner into four partial sums by i mod 4.  The N x N views
+/// may be strided blocks of a wider panel.
 double pair_block(dense::ConstMatrixView gu_kl, dense::ConstMatrixView gd_kl);
 
 /// Add one configuration's pair susceptibility from its pair_block sums.

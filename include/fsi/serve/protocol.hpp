@@ -51,10 +51,11 @@ inline constexpr std::uint32_t kMinSchemaVersion = 1;
 /// v2 appended the build-provenance strings so a stats poll identifies the
 /// exact binary answering it; v1 decoders were written before those fields
 /// existed and simply never read them.  v3 appends the adaptive-batching
-/// policy block (live per-key tuning state, quota shedding, replica count)
-/// the same append-only way.  v4 appends the mixed-precision totals and
-/// the full per-key adaptive-policy table (one row per tracked BatchKey,
-/// what fsi_top renders).
+/// policy block (per-key tuning state, quota shedding, replica count) the
+/// same append-only way.  v4 appends the mixed-precision totals and the
+/// per-key policy table.  The batching fields stay encoded so older
+/// clients keep decoding; the current daemon has no adaptive policy and
+/// fills them with fixed values (see StatsResponse).
 inline constexpr std::uint32_t kStatsVersion = 4;
 /// Upper bound on one frame's payload; a declared length beyond this is
 /// treated as a malformed stream (protects the server from a hostile or
@@ -130,7 +131,7 @@ struct InvertResponse {
   // server-side journey so a client can print where time went and place
   // synthesized server spans on its own trace timeline:
   //   queue_wait_ns : admission -> first gathered out of the queue
-  //   batch_wait_ns : gathered -> engine start (straggler window + setup)
+  //   batch_wait_ns : gathered -> engine start (model and task setup)
   //   exec_ns       : engine run of the carrying batch
   std::uint64_t trace_id = 0;       ///< echo of the request's trace_id
   std::uint64_t queue_wait_ns = 0;
@@ -159,12 +160,13 @@ struct WindowStat {
   double p99 = 0.0;
 };
 
-/// One tracked BatchKey's live adaptive-policy state in a stats v4
-/// snapshot (fsi_top's per-key table).  The key itself holds
+/// One BatchKey's adaptive-policy state in a stats v4 snapshot.  Kept for
+/// wire compatibility: daemons that ran an adaptive policy sent one row
+/// per tracked key; the current daemon sends none.  The key itself holds
 /// client-supplied doubles, so the row carries a stable hash of it rather
 /// than the raw fields.
 struct PolicyKeyRow {
-  std::uint64_t key_hash = 0;   ///< serve::hash(BatchKey) of the key
+  std::uint64_t key_hash = 0;   ///< stable hash of the BatchKey
   std::int64_t window_us = 0;   ///< effective coalescing window
   std::uint64_t max_batch = 1;  ///< effective max batch
   bool bypass = false;          ///< coalescing disabled for this key
@@ -206,10 +208,10 @@ struct StatsResponse {
   std::string build_compiler;
   std::string build_type;
 
-  // --- stats v3 extension: adaptive batching + scale-out.  The policy_*
-  // fields snapshot the most recently observed BatchKey's tuning state
-  // (what fsi_top shows); all zero when decoded from an older snapshot or
-  // when the adaptive policy is disabled.
+  // --- stats v3 extension: adaptive batching + scale-out.  All zero when
+  // decoded from an older snapshot.  The current daemon coalesces by one
+  // fixed rule and reports replicas 1, adaptive_enabled false, window 0,
+  // policy_max_batch = its max_batch, no bypass and zero transitions.
   std::uint64_t rejected_quota = 0;   ///< requests shed: client over quota
   std::uint64_t replicas = 0;         ///< replicas this daemon runs (0 = pre-v3)
   bool adaptive_enabled = false;
@@ -222,9 +224,8 @@ struct StatsResponse {
   std::uint64_t bypass_exits = 0;     ///< total bypass exits, all keys
 
   // --- stats v4 extension: mixed-precision totals (process-wide
-  // obs::metrics counters) and the full per-key policy table, most
-  // recently dispatched key first.  Empty when decoded from an older
-  // snapshot.
+  // obs::metrics counters) and the per-key policy table (always empty from
+  // the current daemon).  Empty when decoded from an older snapshot.
   std::uint64_t mixed_runs = 0;       ///< FSI runs attempted in mixed mode
   std::uint64_t mixed_fallbacks = 0;  ///< mixed runs health-gated to fp64
   std::vector<PolicyKeyRow> policy_rows;

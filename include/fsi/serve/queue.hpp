@@ -4,13 +4,12 @@
 ///
 /// The queue is the server's only buffer, and it is bounded: when it is
 /// full, try_push fails and the caller answers RETRY-AFTER instead of
-/// queueing without bound (explicit backpressure, the ISSUE's overload
-/// contract).  The batcher drains it with next_batch(), which coalesces
-/// *compatible* requests — same lattice, L, cluster size and physics
-/// parameters, i.e. the same BatchKey — into one engine batch, waiting up
-/// to a short window for stragglers so concurrent clients share a single
-/// task-graph run (amortising the executor wake-up and giving the graph
-/// enough parallelism to fill the pool).
+/// queueing without bound (explicit backpressure).  The batcher drains it
+/// with next_batch(), which coalesces *compatible* requests — same lattice,
+/// L, cluster size and physics parameters, i.e. the same BatchKey — that
+/// are already queued into one engine batch.  It never waits for
+/// stragglers: under backlog batches fill by themselves, and a lone client
+/// never pays a coalescing window.
 ///
 /// Deadlines and cancellation are *checked*, not enforced, here: the queue
 /// stores the absolute expiry and the liveness callback, and the server
@@ -18,7 +17,6 @@
 /// keeps the queue free of response-path knowledge and makes the filter
 /// order deterministic (arrival order).
 
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -48,17 +46,7 @@ struct BatchKey {
            a.t == b.t && a.u == b.u && a.beta == b.beta &&
            a.precision == b.precision;
   }
-  friend bool operator!=(const BatchKey& a, const BatchKey& b) {
-    return !(a == b);
-  }
-  /// Strict weak order so keys can index ordered containers.
-  friend bool operator<(const BatchKey& a, const BatchKey& b);
 };
-
-/// Stable hash of a BatchKey for wire/dashboard rows: the key holds
-/// client-supplied doubles (t, u, beta), so stats snapshots carry this
-/// digest instead of the raw fields.
-std::uint64_t hash(const BatchKey& key);
 
 /// One admitted request waiting for a batch slot.
 struct PendingRequest {
@@ -71,8 +59,8 @@ struct PendingRequest {
   std::int64_t arrival_ns = 0;   ///< obs::now_ns() at admission
   std::int64_t deadline_ns = 0;  ///< absolute expiry (0 = none)
   /// obs::now_ns() when next_batch gathered this request out of the queue —
-  /// the boundary between its queue wait and its batch-formation wait in
-  /// the per-request timing breakdown.  Stamped by the queue.
+  /// the boundary between its queue wait and its batch-setup wait in the
+  /// per-request timing breakdown.  Stamped by the queue.
   std::int64_t popped_ns = 0;
   /// Wire schema the request arrived with; the response is encoded in the
   /// same dialect so v1 clients keep decoding.
@@ -91,14 +79,6 @@ struct PendingRequest {
   bool expired(std::int64_t now_ns) const {
     return deadline_ns != 0 && now_ns >= deadline_ns;
   }
-};
-
-/// How a batch of one key should be formed: how long to hold it open for
-/// stragglers and how many requests it may coalesce.  Produced per key by
-/// the adaptive policy (or from the static knobs when the policy is off).
-struct BatchPlan {
-  std::chrono::microseconds window{0};
-  std::size_t max_batch = 1;
 };
 
 /// Why admit() refused a request (Ok = admitted).
@@ -128,18 +108,11 @@ class AdmissionQueue {
 
   /// Block until a request is available (or shutdown), then gather the
   /// oldest request plus every queued request with the same BatchKey, in
-  /// arrival order, up to the plan's max_batch.  If the batch is not full,
-  /// waits up to the plan's window for compatible stragglers to arrive.
-  /// Requests with other keys stay queued.  The planner is called once,
-  /// with the key of the oldest request, after that request is available —
-  /// which is what lets an adaptive policy choose a per-key window.
-  /// Returns an empty vector only at shutdown with an empty queue.
-  std::vector<PendingRequest> next_batch(
-      const std::function<BatchPlan(const BatchKey&)>& plan);
-
-  /// Fixed-plan overload (the pre-adaptive behaviour).
-  std::vector<PendingRequest> next_batch(std::chrono::microseconds window,
-                                         std::size_t max_batch);
+  /// arrival order, up to \p max_batch (at least 1).  Returns at once with
+  /// what is queued — it never waits for stragglers.  Requests with other
+  /// keys stay queued in arrival order.  Returns an empty vector only at
+  /// shutdown with an empty queue.
+  std::vector<PendingRequest> next_batch(std::size_t max_batch);
 
   /// Stop accepting and wake next_batch.  Queued requests remain for
   /// drain().
@@ -158,10 +131,6 @@ class AdmissionQueue {
   std::size_t client_depth(std::uint64_t client_id) const;
 
  private:
-  /// Move every entry matching \p key (arrival order) into \p out, up to
-  /// max_batch total.  Caller holds the lock.
-  void take_matching(const BatchKey& key, std::size_t max_batch,
-                     std::vector<PendingRequest>& out);
   void note_depth_locked();
   void release_client_locked(std::uint64_t client_id);
 

@@ -9,8 +9,9 @@
 ///     validates requests, resolves c and q, and admits them to the
 ///     AdmissionQueue (or answers RetryAfter / DeadlineMiss / Malformed
 ///     inline — rejects never consume queue slots or engine time);
-///   - one *batcher* thread: pops coalesced same-key batches from the
-///     queue, filters requests whose deadline expired or whose client
+///   - one *batcher* thread: pops the oldest request together with every
+///     queued request of the same key (never waiting for stragglers),
+///     filters requests whose deadline expired or whose client
 ///     disconnected while queued, builds (or reuses) the qmc::HubbardModel
 ///     for the batch key, runs the engine — by default
 ///     qmc::run_fsi_batch on the persistent executor pool — and writes one
@@ -35,7 +36,6 @@
 #include <vector>
 
 #include "fsi/qmc/multi_gf.hpp"
-#include "fsi/serve/policy.hpp"
 #include "fsi/serve/protocol.hpp"
 #include "fsi/serve/socket.hpp"
 
@@ -53,7 +53,6 @@ using Engine = std::function<std::vector<qmc::Measurements>(
 struct ServerOptions {
   Endpoint endpoint = Endpoint{true, "fsi_serve.sock", "", 0};
   std::size_t queue_depth = 64;       ///< admission-queue bound
-  std::int64_t batch_window_us = 2000;///< straggler wait when forming a batch
   std::size_t max_batch = 8;          ///< max requests coalesced per batch
   std::uint32_t retry_after_ms = 50;  ///< backoff hint in RetryAfter rejects
   std::int64_t default_deadline_ms = 0;  ///< applied when a request has none
@@ -65,28 +64,17 @@ struct ServerOptions {
   /// The fsi_serve tool starts a serve::MetricsExporter here so standard
   /// Prometheus infrastructure can watch the daemon (see metrics_http.hpp).
   std::string metrics_endpoint;
-  /// Adaptive batching (see policy.hpp): zero ceilings resolve to
-  /// batch_window_us / max_batch, so the static knobs stay the upper bound
-  /// and `adaptive.enabled = false` restores the fixed-window behaviour.
-  AdaptiveConfig adaptive;
   /// Per-client queued-slot quota (AdmissionQueue fairness): one connection
   /// may hold at most this many queue slots; over-quota requests are shed
   /// with RetryAfter instead of starving other clients.  0 = no quota.
   std::size_t client_quota = 0;
-  /// Replica count this daemon *reports* (stats/gauge; the fsi_serve tool
-  /// runs that many Server instances sharing one TCP port via reuse_port).
-  std::size_t replicas = 1;
-  /// Set SO_REUSEPORT on a tcp: endpoint so sibling replicas can bind the
-  /// same port (rejected for unix: endpoints at start()).
-  bool reuse_port = false;
   qmc::FsiBatchOptions batch;         ///< executor knobs of the engine runs
   Engine engine;                      ///< null = qmc::run_fsi_batch
 
   /// Defaults overridden by FSI_SERVE_SOCKET, FSI_SERVE_QUEUE,
-  /// FSI_SERVE_BATCH_WINDOW_US, FSI_SERVE_MAX_BATCH,
-  /// FSI_SERVE_RETRY_AFTER_MS, FSI_SERVE_DEADLINE_MS, FSI_SERVE_WORKERS,
-  /// FSI_SERVE_LOG, FSI_SERVE_METRICS, FSI_SERVE_ADAPTIVE,
-  /// FSI_SERVE_CLIENT_QUOTA, FSI_SERVE_REPLICAS.
+  /// FSI_SERVE_MAX_BATCH, FSI_SERVE_RETRY_AFTER_MS, FSI_SERVE_DEADLINE_MS,
+  /// FSI_SERVE_WORKERS, FSI_SERVE_LOG, FSI_SERVE_METRICS,
+  /// FSI_SERVE_CLIENT_QUOTA.
   static ServerOptions from_env();
 };
 
@@ -150,10 +138,6 @@ class Server {
   /// Latency percentile (seconds) over all Ok responses so far;
   /// \p p in [0, 1].  Returns 0 when nothing was served.
   double latency_quantile(double p) const;
-
-  /// The adaptive batching controller (live; see policy.hpp).  Tests and
-  /// tools read per-key tuning state through it.
-  const AdaptivePolicy& policy() const;
 
  private:
   struct Impl;

@@ -62,15 +62,7 @@ class Listener {
   /// Bind + listen.  Unix sockets: an existing socket file at the path is
   /// unlinked first (stale from a previous run).  TCP port 0 is resolved to
   /// the bound port in endpoint().  Throws util::CheckError on failure.
-  ///
-  /// \p reuse_port sets SO_REUSEPORT before bind so N replica daemons can
-  /// share one TCP port and let the kernel spread incoming connections
-  /// across their accept loops (the replica scale-out of docs/tuning.md).
-  /// TCP-only: unix sockets have no port to share — the path unlink would
-  /// make replicas steal each other's socket file — so requesting it on a
-  /// unix endpoint throws.
-  static Listener listen_on(const Endpoint& ep, int backlog = 16,
-                            bool reuse_port = false);
+  static Listener listen_on(const Endpoint& ep, int backlog = 16);
 
   Listener(Listener&&) noexcept;
   Listener& operator=(Listener&&) = delete;

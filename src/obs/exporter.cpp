@@ -33,8 +33,6 @@ const char* counter_help(Counter c) {
     case Counter::ServeCancelled: return "Requests dropped on disconnect";
     case Counter::ServeErrors: return "Requests answered Malformed or Error";
     case Counter::ServeQuotaRejected: return "Requests shed: client over quota";
-    case Counter::ServeBypassEnter: return "Adaptive-policy bypass entries";
-    case Counter::ServeBypassExit: return "Adaptive-policy bypass exits";
     case Counter::MixedRuns: return "FSI runs attempted in mixed precision";
     case Counter::MixedFallbacks: return "Mixed runs gated back to fp64";
     case Counter::StabQrp: return "Pivoted-QR steps in UDT chains";
@@ -67,10 +65,6 @@ const char* gauge_help(Gauge g) {
     case Gauge::HealthSampleEvery: return "Residual spot-check period (0=off)";
     case Gauge::ExecPoolWorkers: return "Threads in persistent executor pool";
     case Gauge::ServeQueueDepth: return "Serve admission-queue depth";
-    case Gauge::ServePolicyWindowUs: return "Adaptive window of active key, us";
-    case Gauge::ServePolicyMaxBatch: return "Adaptive max batch of active key";
-    case Gauge::ServePolicyBypass: return "1 when active key is in bypass";
-    case Gauge::ServeReplicas: return "Daemon replicas on this endpoint";
     case Gauge::StabScaleSpread: return "log10(dmax/dmin) of last UDT chain";
     case Gauge::GreensLastDrift: return "Most recent wrap-drift sample";
     case Gauge::GreensMaxDrift: return "Worst wrap-drift since reset";

@@ -86,8 +86,6 @@ const char* name(Counter c) noexcept {
     case Counter::ServeCancelled: return "serve_cancelled";
     case Counter::ServeErrors: return "serve_errors";
     case Counter::ServeQuotaRejected: return "serve_quota_rejected";
-    case Counter::ServeBypassEnter: return "serve_bypass_enter";
-    case Counter::ServeBypassExit: return "serve_bypass_exit";
     case Counter::MixedRuns: return "mixed_runs";
     case Counter::MixedFallbacks: return "mixed_fallbacks";
     case Counter::StabQrp: return "stab_qrp";
@@ -387,10 +385,6 @@ const char* name(Gauge g) noexcept {
     case Gauge::HealthSampleEvery: return "health_sample_every";
     case Gauge::ExecPoolWorkers: return "exec_pool_workers";
     case Gauge::ServeQueueDepth: return "serve_queue_depth";
-    case Gauge::ServePolicyWindowUs: return "serve_policy_window_us";
-    case Gauge::ServePolicyMaxBatch: return "serve_policy_max_batch";
-    case Gauge::ServePolicyBypass: return "serve_policy_bypass";
-    case Gauge::ServeReplicas: return "serve_replicas";
     case Gauge::StabScaleSpread: return "stab_scale_spread_log10";
     case Gauge::GreensLastDrift: return "greens_last_drift";
     case Gauge::GreensMaxDrift: return "greens_max_drift";

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <mutex>
 
 #include "fsi/obs/env.hpp"
@@ -30,22 +31,21 @@ struct Event {
   std::int64_t dur_ns;
   std::uint64_t trace_id;  ///< correlation id (0 = untagged)
   std::int32_t omp_tid;    ///< omp_get_thread_num() at span close
+  std::int32_t tid;        ///< recording thread's id, in first-record order
 };
 
 /// The process-wide correlation id (see set_active_trace in the header).
 std::atomic<std::uint64_t> g_active_trace{0};
 
-/// Bounded per-thread event buffer.  The owning thread appends; exporters
-/// read entries [0, size) after an acquire load of size, so no entry is ever
-/// written and read concurrently.  On overflow new events are dropped (and
-/// counted) rather than wrapping, which would let the writer race readers.
+/// Bounded event buffer, held by one live thread at a time.  The holding
+/// thread appends; exporters read entries [0, size) after an acquire load
+/// of size, so no entry is ever written and read concurrently.  On
+/// overflow new events are dropped (and counted) rather than wrapping,
+/// which would let the writer race readers.
 struct ThreadBuffer {
   static constexpr std::size_t kCapacity = 1 << 16;
 
-  explicit ThreadBuffer(int tid) : tid(tid), events(new Event[kCapacity]) {}
-
-  const int tid;  ///< stable registration-order thread id
-  Event* const events;
+  std::unique_ptr<Event[]> events{new Event[kCapacity]};
   std::atomic<std::size_t> size{0};
 
   void push(const Event& e, std::atomic<std::uint64_t>& dropped) noexcept {
@@ -59,14 +59,23 @@ struct ThreadBuffer {
   }
 };
 
-std::mutex& registry_mutex() {
-  static std::mutex m;
-  return m;
-}
+/// Every buffer ever handed out, owned here, plus the ones whose thread
+/// has exited.  An exiting thread returns its buffer (events kept for
+/// export) and the next new recording thread appends to it, so the buffer
+/// count is bounded by the peak number of live recording threads, not by
+/// thread churn (one reader thread per serve connection).
+struct Registry {
+  std::mutex mu;
+  std::vector<std::unique_ptr<ThreadBuffer>> buffers;
+  std::vector<ThreadBuffer*> free;
+  int next_tid = 0;
+};
 
-std::vector<ThreadBuffer*>& registry() {
-  static std::vector<ThreadBuffer*> r;
-  return r;
+Registry& registry() {
+  // Leaked deliberately: a thread that exits during static destruction
+  // (say, joined by another static's destructor) still returns its buffer.
+  static Registry* r = new Registry();
+  return *r;
 }
 
 std::atomic<std::uint64_t>& dropped_counter() {
@@ -74,14 +83,38 @@ std::atomic<std::uint64_t>& dropped_counter() {
   return d;
 }
 
-ThreadBuffer& local_buffer() {
-  thread_local ThreadBuffer* buf = [] {
-    std::lock_guard<std::mutex> lock(registry_mutex());
-    auto* b = new ThreadBuffer(static_cast<int>(registry().size()));
-    registry().push_back(b);
-    return b;
-  }();
-  return *buf;
+/// The calling thread's buffer and id, taken from the registry at its
+/// first recorded span and given back when the thread exits.
+struct LocalSlot {
+  ThreadBuffer* buf = nullptr;
+  std::int32_t tid = 0;
+
+  LocalSlot() = default;
+  LocalSlot(const LocalSlot&) = delete;
+  LocalSlot& operator=(const LocalSlot&) = delete;
+  ~LocalSlot() {
+    if (buf == nullptr) return;
+    Registry& r = registry();
+    std::lock_guard<std::mutex> lock(r.mu);
+    r.free.push_back(buf);
+  }
+};
+
+LocalSlot& local_slot() {
+  thread_local LocalSlot slot;
+  if (slot.buf == nullptr) {
+    Registry& r = registry();
+    std::lock_guard<std::mutex> lock(r.mu);
+    if (r.free.empty()) {
+      r.buffers.push_back(std::make_unique<ThreadBuffer>());
+      slot.buf = r.buffers.back().get();
+    } else {
+      slot.buf = r.free.back();
+      r.free.pop_back();
+    }
+    slot.tid = r.next_tid++;
+  }
+  return slot;
 }
 
 std::chrono::steady_clock::time_point process_epoch() {
@@ -128,8 +161,9 @@ void record_interval(const char* name, std::int64_t t0_ns, std::int64_t t1_ns,
   // ring is what the crash handler dumps (flight.hpp).
   flight::record(name, t0_ns, t1_ns - t0_ns, trace_id, omp_get_thread_num());
   if (!enabled()) return;
-  local_buffer().push(
-      {name, t0_ns, t1_ns - t0_ns, trace_id, omp_get_thread_num()},
+  LocalSlot& slot = local_slot();
+  slot.buf->push(
+      {name, t0_ns, t1_ns - t0_ns, trace_id, omp_get_thread_num(), slot.tid},
       dropped_counter());
 }
 
@@ -146,10 +180,11 @@ void set_enabled(bool on) noexcept {
 }
 
 void clear() noexcept {
-  std::lock_guard<std::mutex> lock(registry_mutex());
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lock(r.mu);
   // Only safe when the owning threads are not concurrently recording (same
   // contract as metrics::reset); sizes drop to zero, storage is reused.
-  for (ThreadBuffer* b : registry()) b->size.store(0, std::memory_order_relaxed);
+  for (const auto& b : r.buffers) b->size.store(0, std::memory_order_relaxed);
   dropped_counter().store(0, std::memory_order_relaxed);
 }
 
@@ -157,15 +192,22 @@ std::uint64_t dropped_events() noexcept {
   return dropped_counter().load(std::memory_order_relaxed);
 }
 
+std::size_t thread_buffer_count() noexcept {
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lock(r.mu);
+  return r.buffers.size();
+}
+
 namespace {
 
 /// Copy out a consistent snapshot of every thread's recorded events.
-std::vector<std::pair<int, Event>> snapshot_events() {
-  std::lock_guard<std::mutex> lock(registry_mutex());
-  std::vector<std::pair<int, Event>> out;
-  for (const ThreadBuffer* b : registry()) {
+std::vector<Event> snapshot_events() {
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lock(r.mu);
+  std::vector<Event> out;
+  for (const auto& b : r.buffers) {
     const std::size_t n = b->size.load(std::memory_order_acquire);
-    for (std::size_t i = 0; i < n; ++i) out.emplace_back(b->tid, b->events[i]);
+    out.insert(out.end(), b->events.get(), b->events.get() + n);
   }
   return out;
 }
@@ -174,7 +216,7 @@ std::vector<std::pair<int, Event>> snapshot_events() {
 
 std::vector<SpanStats> summary() {
   std::map<std::string, std::vector<double>> durations;
-  for (const auto& [tid, e] : snapshot_events())
+  for (const Event& e : snapshot_events())
     durations[e.name].push_back(static_cast<double>(e.dur_ns) * 1e-9);
 
   std::vector<SpanStats> out;
@@ -198,7 +240,7 @@ std::vector<SpanStats> summary() {
 
 double total_seconds(const std::string& name) {
   double total = 0.0;
-  for (const auto& [tid, e] : snapshot_events())
+  for (const Event& e : snapshot_events())
     if (name == e.name) total += static_cast<double>(e.dur_ns) * 1e-9;
   return total;
 }
@@ -223,7 +265,7 @@ std::string chrome_trace_json() {
   std::string out = "{\"traceEvents\":[";
   char buf[256];
   bool first = true;
-  for (const auto& [tid, e] : snapshot_events()) {
+  for (const Event& e : snapshot_events()) {
     if (!first) out += ',';
     first = false;
     out += "{\"name\":\"";
@@ -235,7 +277,7 @@ std::string chrome_trace_json() {
                   "\",\"cat\":\"fsi\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"
                   "\"pid\":0,\"tid\":%d,\"args\":{\"omp_tid\":%d",
                   static_cast<double>(e.t0_ns) * 1e-3,
-                  static_cast<double>(e.dur_ns) * 1e-3, tid, e.omp_tid);
+                  static_cast<double>(e.dur_ns) * 1e-3, e.tid, e.omp_tid);
     out += buf;
     if (e.trace_id != 0) {
       std::snprintf(buf, sizeof buf, ",\"trace_id\":%llu",

@@ -185,10 +185,23 @@ void accumulate_pair_susceptibility(const Lattice& lat,
 
 double pair_block(dense::ConstMatrixView gu_kl, dense::ConstMatrixView gd_kl) {
   FSI_ASSERT(gu_kl.rows() == gd_kl.rows() && gu_kl.cols() == gd_kl.cols());
-  double s = 0.0;
-  for (index_t j = 0; j < gu_kl.cols(); ++j)
-    for (index_t i = 0; i < gu_kl.rows(); ++i) s += gu_kl(i, j) * gd_kl(i, j);
-  return s;
+  // Four interleaved partial sums (row i feeds s[i % 4]) break the serial
+  // add chain; the order is fixed, so every caller gets the same bits.
+  const index_t rows = gu_kl.rows();
+  double s[4] = {0.0, 0.0, 0.0, 0.0};
+  for (index_t j = 0; j < gu_kl.cols(); ++j) {
+    const double* u = &gu_kl(0, j);
+    const double* d = &gd_kl(0, j);
+    index_t i = 0;
+    for (; i + 4 <= rows; i += 4) {
+      s[0] += u[i] * d[i];
+      s[1] += u[i + 1] * d[i + 1];
+      s[2] += u[i + 2] * d[i + 2];
+      s[3] += u[i + 3] * d[i + 3];
+    }
+    for (; i < rows; ++i) s[i % 4] += u[i] * d[i];
+  }
+  return (s[0] + s[1]) + (s[2] + s[3]);
 }
 
 void reduce_pair_susceptibility(const Lattice& lat,

@@ -294,8 +294,8 @@ Decoded decode_payload(const std::uint8_t* data, std::size_t size) {
       s.mixed_runs = r.get_u64();
       s.mixed_fallbacks = r.get_u64();
       const std::uint32_t rows = r.get_u32();
-      // The policy table is LRU-bounded server-side (AdaptiveConfig
-      // max_keys, default 64); an implausible count is a hostile frame.
+      // Daemons that sent policy rows bounded them at 64 keys, and the
+      // current daemon sends none; an implausible count is a hostile frame.
       FSI_CHECK(rows <= 4096, "serve: implausible policy-row count " +
                                   std::to_string(rows));
       s.policy_rows.resize(rows);

@@ -1,42 +1,11 @@
 #include "fsi/serve/queue.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <tuple>
 
 #include "fsi/obs/metrics.hpp"
 #include "fsi/obs/trace.hpp"
 
 namespace fsi::serve {
-
-bool operator<(const BatchKey& a, const BatchKey& b) {
-  return std::tie(a.lx, a.ly, a.l, a.c, a.t, a.u, a.beta, a.precision) <
-         std::tie(b.lx, b.ly, b.l, b.c, b.t, b.u, b.beta, b.precision);
-}
-
-std::uint64_t hash(const BatchKey& key) {
-  // Boost-style 64-bit combine over the fields; doubles go in by bit
-  // pattern, so equal keys hash equal and -0.0 vs 0.0 never coalesce
-  // anyway (operator== distinguishes them too: a key is an exact shape).
-  const auto mix = [](std::uint64_t h, std::uint64_t v) {
-    return h ^ (v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
-  };
-  const auto bits = [](double d) {
-    std::uint64_t u = 0;
-    std::memcpy(&u, &d, sizeof u);
-    return u;
-  };
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  h = mix(h, key.lx);
-  h = mix(h, key.ly);
-  h = mix(h, key.l);
-  h = mix(h, static_cast<std::uint64_t>(key.c));
-  h = mix(h, bits(key.t));
-  h = mix(h, bits(key.u));
-  h = mix(h, bits(key.beta));
-  h = mix(h, key.precision);
-  return h;
-}
 
 AdmissionQueue::AdmissionQueue(std::size_t max_depth,
                                std::size_t max_per_client)
@@ -76,53 +45,28 @@ bool AdmissionQueue::try_push(PendingRequest&& r) {
   return admit(std::move(r)) == Admit::Ok;
 }
 
-void AdmissionQueue::take_matching(const BatchKey& key, std::size_t max_batch,
-                                   std::vector<PendingRequest>& out) {
+std::vector<PendingRequest> AdmissionQueue::next_batch(std::size_t max_batch) {
+  max_batch = std::max<std::size_t>(1, max_batch);
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
+  std::vector<PendingRequest> batch;
+  if (queue_.empty()) return batch;  // shutdown with nothing queued
+
+  const BatchKey key = queue_.front().key();
   const std::int64_t now = obs::now_ns();
-  for (auto it = queue_.begin(); it != queue_.end() && out.size() < max_batch;) {
+  for (auto it = queue_.begin();
+       it != queue_.end() && batch.size() < max_batch;) {
     if (it->key() == key) {
-      it->popped_ns = now;  // queue wait ends, batch-formation wait begins
+      it->popped_ns = now;  // queue wait ends, batch setup begins
       release_client_locked(it->client_id);
-      out.push_back(std::move(*it));
+      batch.push_back(std::move(*it));
       it = queue_.erase(it);
     } else {
       ++it;
     }
   }
   note_depth_locked();
-}
-
-std::vector<PendingRequest> AdmissionQueue::next_batch(
-    const std::function<BatchPlan(const BatchKey&)>& plan) {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
-  if (queue_.empty()) return {};  // shutdown with nothing queued
-
-  // Plan once the oldest request is known: an adaptive policy picks a
-  // per-key window/max-batch from what it has measured about this key.
-  const BatchKey key = queue_.front().key();
-  const BatchPlan p = plan(key);
-  const std::size_t max_batch = std::max<std::size_t>(1, p.max_batch);
-
-  std::vector<PendingRequest> batch;
-  take_matching(key, max_batch, batch);
-
-  // Straggler window: late-arriving compatible requests join this batch
-  // instead of paying a whole engine run of their own.
-  if (p.window.count() > 0) {
-    const auto close_at = std::chrono::steady_clock::now() + p.window;
-    while (batch.size() < max_batch && !shutdown_) {
-      if (cv_.wait_until(lock, close_at) == std::cv_status::timeout) break;
-      take_matching(key, max_batch, batch);
-    }
-  }
   return batch;
-}
-
-std::vector<PendingRequest> AdmissionQueue::next_batch(
-    std::chrono::microseconds window, std::size_t max_batch) {
-  return next_batch(
-      [&](const BatchKey&) { return BatchPlan{window, max_batch}; });
 }
 
 void AdmissionQueue::shutdown() {

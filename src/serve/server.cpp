@@ -30,9 +30,6 @@ ServerOptions ServerOptions::from_env() {
   o.queue_depth = static_cast<std::size_t>(std::max(
       1L, obs::env_long("FSI_SERVE_QUEUE",
                         static_cast<long>(o.queue_depth))));
-  o.batch_window_us =
-      std::max(0L, obs::env_long("FSI_SERVE_BATCH_WINDOW_US",
-                                 static_cast<long>(o.batch_window_us)));
   o.max_batch = static_cast<std::size_t>(std::max(
       1L, obs::env_long("FSI_SERVE_MAX_BATCH",
                         static_cast<long>(o.max_batch))));
@@ -48,13 +45,9 @@ ServerOptions ServerOptions::from_env() {
   if (log != nullptr && log[0] != '\0') o.access_log = log;
   const char* metrics = std::getenv("FSI_SERVE_METRICS");
   if (metrics != nullptr && metrics[0] != '\0') o.metrics_endpoint = metrics;
-  o.adaptive.enabled = obs::env_flag("FSI_SERVE_ADAPTIVE", o.adaptive.enabled);
   o.client_quota = static_cast<std::size_t>(std::max(
       0L, obs::env_long("FSI_SERVE_CLIENT_QUOTA",
                         static_cast<long>(o.client_quota))));
-  o.replicas = static_cast<std::size_t>(std::max(
-      1L, obs::env_long("FSI_SERVE_REPLICAS",
-                        static_cast<long>(o.replicas))));
   return o;
 }
 
@@ -73,27 +66,14 @@ struct Conn {
   std::uint64_t id = 0;
 };
 
-/// Resolve the policy's zero ceilings from the server's static knobs: the
-/// adaptive controller tunes *within* the configured window / max batch,
-/// it never exceeds them.
-AdaptiveConfig resolve_adaptive(const ServerOptions& o) {
-  AdaptiveConfig c = o.adaptive;
-  if (c.window_ceiling_us == 0) c.window_ceiling_us = o.batch_window_us;
-  if (c.max_batch_ceiling == 0) c.max_batch_ceiling = o.max_batch;
-  return c;
-}
-
 }  // namespace
 
 struct Server::Impl {
   explicit Impl(ServerOptions o)
-      : opts(std::move(o)),
-        queue(opts.queue_depth, opts.client_quota),
-        policy(resolve_adaptive(opts)) {}
+      : opts(std::move(o)), queue(opts.queue_depth, opts.client_quota) {}
 
   ServerOptions opts;
   AdmissionQueue queue;
-  AdaptivePolicy policy;
   std::atomic<std::uint64_t> next_conn_id{1};
   std::optional<Listener> listener;
   Endpoint bound;  ///< resolved at start(); outlives the listener so
@@ -542,26 +522,11 @@ void Server::Impl::run_batch(std::vector<PendingRequest>&& batch) {
   obs::metrics::record_windowed(obs::metrics::Hist::ServeBatchOccupancy,
                                 occupancy);
 
-  // Close the adaptive loop: what this batch actually cost.  The straggler
-  // wait paid is dispatch minus the moment the queue first gathered a
-  // request (a batch that filled instantly was never charged the window).
-  {
-    std::int64_t first_popped = dispatch_ns;
-    for (const PendingRequest& p : live)
-      if (p.popped_ns > 0) first_popped = std::min(first_popped, p.popped_ns);
-    BatchObservation ob;
-    ob.batch_size = live.size();
-    ob.queue_depth_after = queue.depth();
-    ob.window_wait_ns = dispatch_ns - first_popped;
-    ob.exec_ns = exec_t1 - exec_t0;
-    policy.observe(key, ob);
-  }
-
   for (std::size_t i = 0; i < live.size(); ++i) {
     PendingRequest& p = live[i];
     // The v2 breakdown: queue wait ends when the queue gathered the request
-    // (popped_ns), batch wait covers the straggler window + model/task
-    // setup, exec is the shared engine run.
+    // (popped_ns), batch wait covers the model/task setup, exec is the
+    // shared engine run.
     const std::int64_t popped_ns =
         p.popped_ns > 0 ? p.popped_ns : dispatch_ns;
     InvertResponse r;
@@ -662,43 +627,27 @@ StatsResponse Server::Impl::build_stats(std::uint64_t id) {
   s.build_compiler = b.compiler;
   s.build_type = b.build_type;
 
-  // Stats v3: live adaptive-policy state of the most recently dispatched
-  // key — what fsi_top renders and the tuning guide reads.
-  s.replicas = opts.replicas;
-  s.adaptive_enabled = policy.config().enabled;
-  s.policy_keys = policy.keys();
-  const KeyPolicy active = policy.active_state();
-  s.policy_window_us = active.window_us;
-  s.policy_max_batch = active.max_batch;
-  s.policy_bypass = active.bypass;
-  s.policy_speedup = active.speedup;
-  s.bypass_enters = policy.bypass_enters();
-  s.bypass_exits = policy.bypass_exits();
+  // Stats v3: the batching fields stay on the wire for older clients and
+  // dashboards; one daemon with the single same-key coalescing rule reports
+  // them as fixed values (no adaptive policy, no window, one replica).
+  s.replicas = 1;
+  s.adaptive_enabled = false;
+  s.policy_window_us = 0;
+  s.policy_max_batch = opts.max_batch;
+  s.policy_bypass = false;
 
   // Stats v4: mixed-precision totals (process-wide metrics counters, the
-  // same series the OpenMetrics exporter publishes) and the full per-key
-  // policy table, LRU order.
+  // same series the OpenMetrics exporter publishes).  The per-key policy
+  // table stays empty.
   s.mixed_runs = obs::metrics::total(obs::metrics::Counter::MixedRuns);
   s.mixed_fallbacks =
       obs::metrics::total(obs::metrics::Counter::MixedFallbacks);
-  for (const auto& [key, state] : policy.snapshot()) {
-    PolicyKeyRow row;
-    row.key_hash = hash(key);
-    row.window_us = state.window_us;
-    row.max_batch = state.max_batch;
-    row.bypass = state.bypass;
-    row.speedup = state.speedup;
-    s.policy_rows.push_back(row);
-  }
   return s;
 }
 
 void Server::Impl::batcher_loop() {
-  // The policy is consulted per batch with the key about to dispatch; when
-  // adaptive tuning is disabled its plan() degenerates to the static knobs.
-  const auto planner = [this](const BatchKey& key) { return policy.plan(key); };
   for (;;) {
-    std::vector<PendingRequest> batch = queue.next_batch(planner);
+    std::vector<PendingRequest> batch = queue.next_batch(opts.max_batch);
     if (batch.empty()) return;  // shutdown with an empty queue
     run_batch(std::move(batch));
   }
@@ -716,12 +665,9 @@ void Server::start() {
     FSI_CHECK(impl_->access_log != nullptr,
               "serve: cannot open access log: " + impl_->opts.access_log);
   }
-  impl_->listener.emplace(Listener::listen_on(impl_->opts.endpoint, 16,
-                                              impl_->opts.reuse_port));
+  impl_->listener.emplace(Listener::listen_on(impl_->opts.endpoint));
   impl_->bound = impl_->listener->endpoint();
   impl_->start_ns = obs::now_ns();
-  obs::metrics::set(obs::metrics::Gauge::ServeReplicas,
-                    static_cast<double>(impl_->opts.replicas));
   impl_->started.store(true);
   impl_->accept_thread = std::thread([this] { impl_->accept_loop(); });
   impl_->batcher_thread = std::thread([this] { impl_->batcher_loop(); });
@@ -789,8 +735,6 @@ ServerStats Server::stats() const {
       std::max(s.queue_high_water, impl_->queue.max_depth_seen());
   return s;
 }
-
-const AdaptivePolicy& Server::policy() const { return impl_->policy; }
 
 double Server::latency_quantile(double p) const {
   std::lock_guard<std::mutex> lock(impl_->stats_mu);

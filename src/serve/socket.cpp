@@ -113,10 +113,7 @@ void make_tcp_addr(const std::string& host, int port, sockaddr_in& addr) {
 
 }  // namespace
 
-Listener Listener::listen_on(const Endpoint& ep, int backlog,
-                             bool reuse_port) {
-  FSI_CHECK(!reuse_port || !ep.is_unix,
-            "listener: SO_REUSEPORT requires a tcp: endpoint");
+Listener Listener::listen_on(const Endpoint& ep, int backlog) {
   Listener l;
   l.endpoint_ = ep;
 
@@ -141,10 +138,6 @@ Listener Listener::listen_on(const Endpoint& ep, int backlog,
     FSI_CHECK(l.listen_fd_ >= 0, "listener: socket(AF_INET) failed");
     const int one = 1;
     ::setsockopt(l.listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    if (reuse_port)
-      FSI_CHECK(::setsockopt(l.listen_fd_, SOL_SOCKET, SO_REUSEPORT, &one,
-                             sizeof one) == 0,
-                "listener: setsockopt(SO_REUSEPORT) failed");
     sockaddr_in addr;
     make_tcp_addr(ep.host, ep.port, addr);
     FSI_CHECK(::bind(l.listen_fd_, reinterpret_cast<sockaddr*>(&addr),

@@ -98,6 +98,33 @@ TEST(ObsTrace, ThreadAttribution) {
   EXPECT_EQ(checker.numbers_for("tid").size(), 4u);
 }
 
+TEST(ObsTrace, ExitedThreadsHandTheirBuffersOn) {
+  // 64 short-lived threads, at most 8 alive at once: every span is
+  // exported, and an exited thread's buffer serves the next new thread,
+  // so the buffer count grows by at most the peak number of live threads.
+  TraceSession session;
+  constexpr int kThreads = 64;
+  constexpr int kLive = 8;
+  const std::size_t before = obs::thread_buffer_count();
+  for (int wave = 0; wave < kThreads / kLive; ++wave) {
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kLive; ++t)
+      workers.emplace_back([] { FSI_OBS_SPAN("churn.worker"); });
+    for (auto& w : workers) w.join();
+  }
+  EXPECT_LE(obs::thread_buffer_count(), before + kLive);
+
+  const auto stats = obs::summary();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].name, "churn.worker");
+  EXPECT_EQ(stats[0].count, static_cast<std::uint64_t>(kThreads));
+  // Every thread keeps its own chrome tid, buffer reuse or not.
+  JsonChecker checker(obs::chrome_trace_json());
+  ASSERT_TRUE(checker.parse());
+  EXPECT_EQ(checker.numbers_for("tid").size(),
+            static_cast<std::size_t>(kThreads));
+}
+
 TEST(ObsTrace, CounterMergeAcrossThreads) {
   namespace m = obs::metrics;
   m::reset(m::Counter::ServeErrors);

@@ -251,6 +251,32 @@ TEST(Spxx, BlockKernelReadsStridedPanelViews) {
   }
 }
 
+TEST(PairSusceptibility, BlockKernelMatchesLongDoubleSum) {
+  // pair_block's four partial sums against a naive long-double sum, on
+  // row counts with and without a remainder mod 4, read through strided
+  // panel views (ld = bN) and through compact copies (same bits).
+  util::Rng rng(706);
+  for (const index_t n : {1, 3, 4, 6, 9, 16}) {
+    const index_t b = 3;
+    Matrix up = fsi::testing::random_matrix(b * n, n, rng);
+    Matrix dn = fsi::testing::random_matrix(b * n, n, rng);
+    for (index_t j = 0; j < b; ++j) {
+      const dense::ConstMatrixView gu = up.block(j * n, 0, n, n);
+      const dense::ConstMatrixView gd = dn.block(j * n, 0, n, n);
+      const double got = pair_block(gu, gd);
+      EXPECT_EQ(got, pair_block(Matrix::copy_of(gu), Matrix::copy_of(gd)));
+      long double ref = 0.0L;
+      for (index_t jj = 0; jj < n; ++jj)
+        for (index_t i = 0; i < n; ++i)
+          ref += static_cast<long double>(gu(i, jj)) *
+                 static_cast<long double>(gd(i, jj));
+      EXPECT_LE(std::fabs(static_cast<long double>(got) - ref),
+                1e-13L * std::fabs(ref))
+          << "n=" << n << " j=" << j;
+    }
+  }
+}
+
 TEST(Spxx, MismatchedPatternsThrow) {
   const index_t nx = 2, l = 4;
   HubbardParams p;

@@ -11,6 +11,8 @@
 
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <future>
 #include <string>
@@ -20,7 +22,6 @@
 #include "fsi/qmc/multi_gf.hpp"
 #include "fsi/serve/client.hpp"
 #include "fsi/serve/server.hpp"
-#include "fsi/serve/shard.hpp"
 #include "fsi/util/check.hpp"
 
 namespace {
@@ -88,6 +89,31 @@ void expect_bit_identical(const InvertRequest& req,
          "selected inversion";
 }
 
+/// The real engine behind a gate: the first batch waits until \p expected
+/// requests have been admitted, so everything after it is queued by the
+/// time the batcher looks again.  That makes coalescing deterministic
+/// without a straggler window.  Later batches run straight through.
+struct HoldFirstBatch {
+  std::uint64_t expected = 0;
+  const Server* server = nullptr;  ///< set after construction, before start
+  std::atomic<bool> first{true};
+
+  Engine engine() {
+    return [this](const qmc::HubbardModel& model,
+                  const std::vector<qmc::FsiBatchTask>& tasks,
+                  const qmc::FsiBatchOptions& opts) {
+      if (first.exchange(false)) {
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (server->stats().admitted < expected &&
+               std::chrono::steady_clock::now() < give_up)
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      return qmc::run_fsi_batch(model, tasks, opts);
+    };
+  }
+};
+
 TEST(ServeE2E, SingleRequestBitIdentical) {
   ServerOptions options;
   options.endpoint = Endpoint::parse(test_socket_path("single"));
@@ -105,11 +131,14 @@ TEST(ServeE2E, SingleRequestBitIdentical) {
 }
 
 TEST(ServeE2E, CoalescedPipelinedRequestsBitIdentical) {
+  HoldFirstBatch hold;
+  hold.expected = 4;
   ServerOptions options;
   options.endpoint = Endpoint::parse(test_socket_path("coalesce"));
-  options.batch_window_us = 200000;  // generous: force the burst to coalesce
   options.max_batch = 8;
+  options.engine = hold.engine();
   Server server(std::move(options));
+  hold.server = &server;
   server.start();
 
   Client client(server.endpoint());
@@ -126,22 +155,25 @@ TEST(ServeE2E, CoalescedPipelinedRequestsBitIdentical) {
     max_batch_size = std::max(max_batch_size, resp.batch_size);
   }
   server.stop();
-  // The burst must actually have shared batches — the whole point of the
-  // batching layer (the window is far longer than the decode gap).
+  // The burst queued behind the held first batch shares the next one —
+  // the whole point of the batching layer.
   EXPECT_GE(max_batch_size, 2u);
-  EXPECT_LT(server.stats().batches, 4u);
+  EXPECT_LE(server.stats().batches, 2u);
 }
 
 TEST(ServeE2E, ConcurrentClientsCoalesceAndStayBitIdentical) {
+  constexpr int kClients = 3;
+  HoldFirstBatch hold;
+  hold.expected = kClients;
   ServerOptions options;
   options.endpoint = Endpoint::parse(test_socket_path("multi"));
-  options.batch_window_us = 200000;
   options.max_batch = 8;
+  options.engine = hold.engine();
   Server server(std::move(options));
+  hold.server = &server;
   server.start();
   const Endpoint ep = server.endpoint();
 
-  constexpr int kClients = 3;
   std::vector<std::thread> threads;
   std::vector<std::string> failures(kClients);
   for (int c = 0; c < kClients; ++c) {
@@ -173,13 +205,18 @@ TEST(ServeE2E, ConcurrentClientsCoalesceAndStayBitIdentical) {
     EXPECT_EQ(failures[static_cast<std::size_t>(c)], "") << "client " << c;
   server.stop();
   EXPECT_EQ(server.stats().served_ok, static_cast<std::uint64_t>(kClients));
+  // The clients queued behind the held first batch coalesced.
+  EXPECT_LE(server.stats().batches, 2u);
 }
 
 TEST(ServeE2E, MixedShapesSplitIntoSeparateBatches) {
+  HoldFirstBatch hold;
+  hold.expected = 2;
   ServerOptions options;
   options.endpoint = Endpoint::parse(test_socket_path("mixed"));
-  options.batch_window_us = 50000;
+  options.engine = hold.engine();
   Server server(std::move(options));
+  hold.server = &server;
   server.start();
 
   Client client(server.endpoint());
@@ -191,7 +228,7 @@ TEST(ServeE2E, MixedShapesSplitIntoSeparateBatches) {
   const InvertResponse r_large = f_large.get();
   expect_bit_identical(small, r_small);
   expect_bit_identical(large, r_large);
-  // Different (N, L) never share a batch.
+  // Both were queued together, yet different (N, L) never share a batch.
   EXPECT_EQ(r_small.batch_size, 1u);
   EXPECT_EQ(r_large.batch_size, 1u);
   server.stop();
@@ -229,59 +266,54 @@ TEST(ServeE2E, ExplicitClusterAndOffsetBitIdentical) {
   server.stop();
 }
 
-TEST(ServeE2E, TwoReplicasSharePortAndStayBitIdentical) {
-  // Two Server instances on one TCP port via SO_REUSEPORT — the fsi_serve
-  // --replicas topology.  Requests routed through a ShardedClient against
-  // the shared port must produce bit-identical physics regardless of which
-  // replica's queue/batcher served them.
+TEST(ServeE2E, TwoKeyClientsOnOneTcpDaemonStayBitIdentical) {
+  // Two concurrent clients with different BatchKeys on one tcp: daemon:
+  // each key batches on its own, and both streams stay bit-identical.
   ServerOptions options;
   options.endpoint = Endpoint::parse("tcp:127.0.0.1:0");
-  options.reuse_port = true;
-  options.replicas = 2;
-  Server first(options);
-  first.start();
-  options.endpoint = first.endpoint();  // resolved port; sibling re-binds it
-  Server second(options);
-  second.start();
-  ASSERT_EQ(second.endpoint().port, first.endpoint().port);
-
-  // Distinct connections (kernel spreads them across the two accept loops;
-  // either placement is correct) with distinct model shapes.
-  std::vector<Endpoint> eps = {first.endpoint(), second.endpoint()};
-  ShardedClient sharded(eps);
-  EXPECT_EQ(sharded.replicas(), 2u);
-  const InvertRequest a = make_request(71, /*lx=*/4, /*l=*/8);
-  const InvertRequest b = make_request(72, /*lx=*/6, /*l=*/12);
-  // The rendezvous route is a pure key function: both requests route
-  // deterministically, and same-key requests agree.
-  EXPECT_EQ(sharded.route(a), sharded.route(a));
-  expect_bit_identical(a, sharded.request(a));
-  expect_bit_identical(b, sharded.request(b));
-
-  const std::uint64_t total_ok =
-      first.stats().served_ok + second.stats().served_ok;
-  second.stop();
-  first.stop();
-  EXPECT_EQ(total_ok, 2u);
-}
-
-TEST(ServeE2E, ReusePortOnUnixEndpointThrows) {
-  ServerOptions options;
-  options.endpoint = Endpoint::parse(test_socket_path("reuse_unix"));
-  options.reuse_port = true;
   Server server(std::move(options));
-  EXPECT_THROW(server.start(), util::CheckError);
+  server.start();
+  const Endpoint ep = server.endpoint();
+
+  const std::vector<InvertRequest> streams = {
+      make_request(71, /*lx=*/4, /*l=*/8),
+      make_request(72, /*lx=*/6, /*l=*/12)};
+  std::vector<std::string> failures(streams.size());
+  std::vector<std::thread> threads;
+  for (std::size_t c = 0; c < streams.size(); ++c) {
+    threads.emplace_back([&, c] {
+      try {
+        Client client(ep);
+        for (int i = 0; i < 3; ++i) {
+          InvertRequest sent = streams[c];
+          const InvertResponse resp = client.request(std::move(sent));
+          const std::vector<double> expected = reference(streams[c]);
+          if (resp.status != Status::Ok ||
+              resp.measurements.size() != expected.size() ||
+              std::memcmp(expected.data(), resp.measurements.data(),
+                          expected.size() * sizeof(double)) != 0)
+            failures[c] = "response " + std::to_string(i) + " not Ok/identical";
+        }
+      } catch (const std::exception& e) {
+        failures[c] = e.what();
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (std::size_t c = 0; c < streams.size(); ++c)
+    EXPECT_EQ(failures[c], "") << "stream " << c;
+  server.stop();
+  EXPECT_EQ(server.stats().served_ok, 6u);
+  EXPECT_EQ(server.stats().connections, 2u);
 }
 
-TEST(ServeE2E, AdaptiveBypassRecoversThroughputAndReportsState) {
-  // Closed-loop single client: every request waits for its response, so a
-  // long fixed window charges every dispatch the full straggler wait for
-  // nothing.  The adaptive policy must measure that, halve the window, and
-  // engage bypass; the stats snapshot must expose the transition.
+TEST(ServeE2E, ClosedLoopClientNeverWaitsAndStatsReportFixedBatching) {
+  // Closed-loop single client: every request waits for its response, so
+  // no straggler can ever arrive.  Each request dispatches alone, and the
+  // stats-v3 batching fields carry the fixed values of the one rule.
   ServerOptions options;
-  options.endpoint = Endpoint::parse(test_socket_path("adaptive"));
-  options.batch_window_us = 30000;  // deliberately bad for closed-loop
-  options.adaptive.bypass_after = 3;
+  options.endpoint = Endpoint::parse(test_socket_path("closed_loop"));
+  options.max_batch = 8;
   Server server(std::move(options));
   server.start();
 
@@ -289,17 +321,20 @@ TEST(ServeE2E, AdaptiveBypassRecoversThroughputAndReportsState) {
   const InvertRequest req = make_request(81);
   for (int i = 0; i < 8; ++i) {
     InvertRequest sent = req;
-    expect_bit_identical(req, client.request(std::move(sent)));
+    const InvertResponse resp = client.request(std::move(sent));
+    expect_bit_identical(req, resp);
+    EXPECT_EQ(resp.batch_size, 1u);
   }
   const StatsResponse s = server.stats_snapshot();
-  EXPECT_TRUE(s.adaptive_enabled);
-  EXPECT_GE(s.bypass_enters, 1u);
-  EXPECT_TRUE(s.policy_bypass);
+  EXPECT_EQ(s.batches, 8u);
+  EXPECT_EQ(s.replicas, 1u);
+  EXPECT_FALSE(s.adaptive_enabled);
   EXPECT_EQ(s.policy_window_us, 0);
-  EXPECT_EQ(s.policy_max_batch, 1u);
-  // The measured-speedup estimate has samples (its direction depends on
-  // real engine timing noise; the deterministic trace tests pin it down).
-  EXPECT_GT(s.policy_speedup, 0.0);
+  EXPECT_EQ(s.policy_max_batch, 8u);
+  EXPECT_FALSE(s.policy_bypass);
+  EXPECT_EQ(s.bypass_enters, 0u);
+  EXPECT_EQ(s.bypass_exits, 0u);
+  EXPECT_TRUE(s.policy_rows.empty());
   server.stop();
 }
 
@@ -310,7 +345,6 @@ TEST(ServeE2E, ClientQuotaShedsPipelinedFlood) {
   ServerOptions options;
   options.endpoint = Endpoint::parse(test_socket_path("quota"));
   options.client_quota = 1;
-  options.batch_window_us = 0;  // drain as fast as possible
   Server server(std::move(options));
   server.start();
 

@@ -227,19 +227,27 @@ TEST(ServeProtocol, ValidateRejectsUnknownPrecision) {
 
 TEST(ServeQueue, BatchKeySeparatesPrecisions) {
   // A mixed and an fp64 request must never coalesce into one engine run:
-  // precision is part of the BatchKey and of its stable hash.
+  // precision is part of the BatchKey.
   PendingRequest a;
   a.request = tiny_request(1);
   PendingRequest b;
   b.request = tiny_request(2);
   b.request.precision = 1;
   EXPECT_FALSE(a.key() == b.key());
-  EXPECT_NE(hash(a.key()), hash(b.key()));
 
   PendingRequest c;
   c.request = tiny_request(3);
   EXPECT_TRUE(a.key() == c.key());
-  EXPECT_EQ(hash(a.key()), hash(c.key()));
+
+  AdmissionQueue q(8);
+  ASSERT_TRUE(q.try_push(std::move(a)));
+  ASSERT_TRUE(q.try_push(std::move(b)));
+  ASSERT_TRUE(q.try_push(std::move(c)));
+  const auto batch = q.next_batch(8);
+  ASSERT_EQ(batch.size(), 2u);  // the two fp64 requests; mixed stays queued
+  EXPECT_EQ(batch[0].request.id, 1u);
+  EXPECT_EQ(batch[1].request.id, 3u);
+  EXPECT_EQ(q.depth(), 1u);
 }
 
 TEST(ServeProtocol, StatsRoundTrip) {
@@ -623,13 +631,13 @@ TEST(ServeQueue, CoalescesSameKeyOnly) {
   ASSERT_TRUE(q.try_push(pending(2, /*l=*/4)));  // different key
   ASSERT_TRUE(q.try_push(pending(3, /*l=*/2)));
 
-  auto batch = q.next_batch(std::chrono::microseconds(0), 8);
+  auto batch = q.next_batch(8);
   ASSERT_EQ(batch.size(), 2u);  // ids 1 and 3 coalesce; 2 stays queued
   EXPECT_EQ(batch[0].request.id, 1u);
   EXPECT_EQ(batch[1].request.id, 3u);
   EXPECT_EQ(q.depth(), 1u);
 
-  batch = q.next_batch(std::chrono::microseconds(0), 8);
+  batch = q.next_batch(8);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].request.id, 2u);
 }
@@ -637,21 +645,35 @@ TEST(ServeQueue, CoalescesSameKeyOnly) {
 TEST(ServeQueue, MaxBatchBounds) {
   AdmissionQueue q(8);
   for (std::uint64_t i = 0; i < 5; ++i) ASSERT_TRUE(q.try_push(pending(i)));
-  const auto batch = q.next_batch(std::chrono::microseconds(0), 3);
+  const auto batch = q.next_batch(3);
   EXPECT_EQ(batch.size(), 3u);
   EXPECT_EQ(q.depth(), 2u);
 }
 
-TEST(ServeQueue, StragglerJoinsWithinWindow) {
+TEST(ServeQueue, LoneRequestReturnsAtOnceOtherKeysStayQueued) {
+  // No straggler window: a lone request of its key dispatches alone and
+  // at once, and requests of other keys keep their arrival order.
   AdmissionQueue q(8);
-  ASSERT_TRUE(q.try_push(pending(1)));
-  std::thread late([&q] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    ASSERT_TRUE(q.try_push(pending(2)));
-  });
-  const auto batch = q.next_batch(std::chrono::milliseconds(500), 8);
-  late.join();
-  EXPECT_EQ(batch.size(), 2u);
+  ASSERT_TRUE(q.try_push(pending(1, /*l=*/2)));
+  ASSERT_TRUE(q.try_push(pending(2, /*l=*/4)));
+  ASSERT_TRUE(q.try_push(pending(3, /*l=*/6)));
+  ASSERT_TRUE(q.try_push(pending(4, /*l=*/4)));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  auto batch = q.next_batch(8);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].request.id, 1u);
+  EXPECT_EQ(q.depth(), 3u);
+
+  batch = q.next_batch(8);
+  ASSERT_EQ(batch.size(), 2u);  // the two l=4 requests, in arrival order
+  EXPECT_EQ(batch[0].request.id, 2u);
+  EXPECT_EQ(batch[1].request.id, 4u);
+  batch = q.next_batch(8);
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].request.id, 3u);
+  EXPECT_EQ(q.depth(), 0u);
 }
 
 TEST(ServeQueue, ShutdownWakesAndDrains) {
@@ -660,10 +682,113 @@ TEST(ServeQueue, ShutdownWakesAndDrains) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     q.shutdown();
   });
-  const auto batch = q.next_batch(std::chrono::milliseconds(0), 8);
+  const auto batch = q.next_batch(8);
   stopper.join();
   EXPECT_TRUE(batch.empty());
   EXPECT_FALSE(q.try_push(pending(9)));  // shut down: nothing admitted
+}
+
+// ---------------------------------------------------------------------------
+// AdmissionQueue per-client quota
+
+PendingRequest quota_request(std::uint64_t id, std::uint64_t client) {
+  PendingRequest p;
+  p.request.id = id;
+  p.client_id = client;
+  return p;
+}
+
+TEST(ServeQuota, OverQuotaClientIsRejectedOthersAdmitted) {
+  AdmissionQueue q(8, 2);
+  EXPECT_EQ(q.admit(quota_request(1, 1)), Admit::Ok);
+  EXPECT_EQ(q.admit(quota_request(2, 1)), Admit::Ok);
+  EXPECT_EQ(q.admit(quota_request(3, 1)), Admit::OverQuota);
+  EXPECT_EQ(q.client_depth(1), 2u);
+  // A different client still gets in: the quota is the fairness mechanism.
+  EXPECT_EQ(q.admit(quota_request(4, 2)), Admit::Ok);
+  EXPECT_EQ(q.depth(), 3u);
+}
+
+TEST(ServeQuota, UnattributedRequestsAreNeverQuotaLimited) {
+  AdmissionQueue q(8, 1);
+  for (std::uint64_t i = 0; i < 5; ++i)
+    EXPECT_EQ(q.admit(quota_request(i, 0)), Admit::Ok);
+}
+
+TEST(ServeQuota, SlotsReleaseWhenBatchPops) {
+  AdmissionQueue q(8, 2);
+  ASSERT_EQ(q.admit(quota_request(1, 7)), Admit::Ok);
+  ASSERT_EQ(q.admit(quota_request(2, 7)), Admit::Ok);
+  ASSERT_EQ(q.admit(quota_request(3, 7)), Admit::OverQuota);
+  const auto batch = q.next_batch(8);
+  EXPECT_EQ(batch.size(), 2u);
+  EXPECT_EQ(q.client_depth(7), 0u);
+  EXPECT_EQ(q.admit(quota_request(4, 7)), Admit::Ok);
+}
+
+TEST(ServeQuota, FullQueueReportsFullNotQuota) {
+  AdmissionQueue q(2, 8);
+  EXPECT_EQ(q.admit(quota_request(1, 1)), Admit::Ok);
+  EXPECT_EQ(q.admit(quota_request(2, 1)), Admit::Ok);
+  EXPECT_EQ(q.admit(quota_request(3, 1)), Admit::Full);
+}
+
+TEST(ServeQuota, DrainClearsQuotaAccounting) {
+  AdmissionQueue q(8, 1);
+  ASSERT_EQ(q.admit(quota_request(1, 5)), Admit::Ok);
+  ASSERT_EQ(q.admit(quota_request(2, 5)), Admit::OverQuota);
+  const auto drained = q.drain();
+  EXPECT_EQ(drained.size(), 1u);
+  EXPECT_EQ(q.client_depth(5), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Stats v3 wire block
+
+TEST(ServeStatsV3, RoundTripsPolicyBlock) {
+  StatsResponse s;
+  s.id = 99;
+  s.stats_version = kStatsVersion;
+  s.admitted = 10;
+  s.rejected_quota = 3;
+  s.replicas = 2;
+  s.adaptive_enabled = true;
+  s.policy_keys = 5;
+  s.policy_window_us = 125;
+  s.policy_max_batch = 4;
+  s.policy_bypass = true;
+  s.policy_speedup = 0.47;
+  s.bypass_enters = 2;
+  s.bypass_exits = 1;
+  const auto payload = encode_stats_response(s);
+  const Decoded d = decode_payload(payload.data(), payload.size());
+  ASSERT_EQ(d.type, MsgType::StatsResponse);
+  EXPECT_EQ(d.stats.rejected_quota, 3u);
+  EXPECT_EQ(d.stats.replicas, 2u);
+  EXPECT_TRUE(d.stats.adaptive_enabled);
+  EXPECT_EQ(d.stats.policy_keys, 5u);
+  EXPECT_EQ(d.stats.policy_window_us, 125);
+  EXPECT_EQ(d.stats.policy_max_batch, 4u);
+  EXPECT_TRUE(d.stats.policy_bypass);
+  EXPECT_DOUBLE_EQ(d.stats.policy_speedup, 0.47);
+  EXPECT_EQ(d.stats.bypass_enters, 2u);
+  EXPECT_EQ(d.stats.bypass_exits, 1u);
+}
+
+TEST(ServeStatsV3, V2SnapshotRoundTripsWithoutPolicyBlock) {
+  // A snapshot tagged v2 must encode byte-compatibly with the pre-v3 layout
+  // (no trailing policy block) and decode with v3 defaults.
+  StatsResponse s;
+  s.stats_version = 2;
+  s.admitted = 7;
+  s.rejected_quota = 99;  // must NOT survive: v2 has no such field
+  const auto payload = encode_stats_response(s);
+  const Decoded d = decode_payload(payload.data(), payload.size());
+  ASSERT_EQ(d.type, MsgType::StatsResponse);
+  EXPECT_EQ(d.stats.admitted, 7u);
+  EXPECT_EQ(d.stats.rejected_quota, 0u);
+  EXPECT_EQ(d.stats.replicas, 0u);
+  EXPECT_FALSE(d.stats.adaptive_enabled);
 }
 
 // ---------------------------------------------------------------------------
@@ -725,7 +850,6 @@ ServerOptions stub_options(const std::string& socket_spec, GateEngine& gate) {
   ServerOptions o;
   o.endpoint = Endpoint::parse(socket_spec);
   o.queue_depth = 2;
-  o.batch_window_us = 0;
   o.max_batch = 1;
   o.retry_after_ms = 7;
   o.engine = gate.engine();

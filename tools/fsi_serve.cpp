@@ -4,32 +4,22 @@
 /// telemetry artifacts.
 ///
 /// Usage:
-///   fsi_serve --socket unix:/tmp/fsi.sock [--queue 64] [--window-us 2000]
-///             [--max-batch 8] [--retry-after-ms 50] [--deadline-ms 0]
-///             [--workers 0] [--trace] [--log access.jsonl]
-///             [--metrics tcp:127.0.0.1:9464] [--replicas 1] [--quota 0]
-///             [--no-adaptive] [--version]
+///   fsi_serve --socket unix:/tmp/fsi.sock [--queue 64] [--max-batch 8]
+///             [--retry-after-ms 50] [--deadline-ms 0] [--workers 0]
+///             [--trace] [--log access.jsonl]
+///             [--metrics tcp:127.0.0.1:9464] [--quota 0] [--version]
 ///
 /// Every flag has an FSI_SERVE_* environment equivalent (the flag wins);
 /// see docs/serving.md and the env-var table in docs/parallelism.md.
 /// --metrics (FSI_SERVE_METRICS) opens an HTTP scrape endpoint answering
-/// GET /metrics in OpenMetrics format and GET /healthz.
-///
-/// --replicas N runs N Server instances in this process sharing one TCP
-/// port via SO_REUSEPORT (requires a tcp: endpoint when N > 1): the kernel
-/// spreads incoming connections across the replicas' accept loops, and
-/// each replica batches its own admission queue independently — see
-/// docs/tuning.md for when that beats a single queue.  --quota caps the
-/// queue slots one connection may hold (per replica); --no-adaptive pins
-/// the batching policy to the static --window-us/--max-batch knobs.
+/// GET /metrics in OpenMetrics format and GET /healthz.  --quota caps the
+/// queue slots one connection may hold; see docs/tuning.md.
 
-#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "fsi/obs/build.hpp"
 #include "fsi/obs/flight.hpp"
@@ -64,8 +54,6 @@ int main(int argc, char** argv) {
   options.endpoint = serve::Endpoint::parse(socket_spec);
   options.queue_depth = static_cast<std::size_t>(
       cli.get_int("queue", static_cast<int>(options.queue_depth)));
-  options.batch_window_us =
-      cli.get_int("window-us", static_cast<int>(options.batch_window_us));
   options.max_batch = static_cast<std::size_t>(
       cli.get_int("max-batch", static_cast<int>(options.max_batch)));
   options.retry_after_ms = static_cast<std::uint32_t>(
@@ -77,41 +65,17 @@ int main(int argc, char** argv) {
   options.access_log = cli.get_string("log", options.access_log);
   options.metrics_endpoint =
       cli.get_string("metrics", options.metrics_endpoint);
-  options.replicas = static_cast<std::size_t>(
-      cli.get_int("replicas", static_cast<int>(options.replicas)));
   options.client_quota = static_cast<std::size_t>(
       cli.get_int("quota", static_cast<int>(options.client_quota)));
-  if (cli.has("adaptive")) options.adaptive.enabled = true;
-  if (cli.has("no-adaptive")) options.adaptive.enabled = false;
   if (cli.has("trace")) obs::set_enabled(true);
 
   const std::size_t queue_depth = options.queue_depth;
-  const std::int64_t window_us = options.batch_window_us;
   const std::size_t max_batch = options.max_batch;
   const std::string metrics_spec = options.metrics_endpoint;
-  const std::size_t replicas = std::max<std::size_t>(1, options.replicas);
-  options.replicas = replicas;
-  if (replicas > 1) {
-    if (options.endpoint.is_unix) {
-      FSI_LOG_ERROR("serve.fatal",
-                    {"reason", "--replicas > 1 requires a tcp: endpoint"});
-      return 1;
-    }
-    options.reuse_port = true;
-  }
 
-  // Replica 0 binds first (resolving port 0 if asked); the siblings then
-  // bind the *resolved* endpoint so all replicas share one port.
-  std::vector<std::unique_ptr<serve::Server>> servers;
-  servers.push_back(std::make_unique<serve::Server>(options));
-  serve::Server& server = *servers.front();
+  serve::Server server(std::move(options));
   try {
     server.start();
-    options.endpoint = server.endpoint();
-    for (std::size_t r = 1; r < replicas; ++r) {
-      servers.push_back(std::make_unique<serve::Server>(options));
-      servers.back()->start();
-    }
   } catch (const std::exception& e) {
     FSI_LOG_ERROR("serve.fatal", {"reason", e.what()});
     return 1;
@@ -131,10 +95,8 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  std::printf("fsi_serve: listening on %s (queue %zu, window %lld us, "
-              "max batch %zu, replicas %zu)\n",
-              server.endpoint().describe().c_str(), queue_depth,
-              static_cast<long long>(window_us), max_batch, replicas);
+  std::printf("fsi_serve: listening on %s (queue %zu, max batch %zu)\n",
+              server.endpoint().describe().c_str(), queue_depth, max_batch);
   std::fflush(stdout);
 
   std::signal(SIGINT, handle_signal);
@@ -143,30 +105,9 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
   if (metrics_http != nullptr) metrics_http->stop();
-  for (auto& s : servers) s->stop();
+  server.stop();
 
-  // Aggregate counters across replicas (one queue + batcher each).
-  serve::ServerStats stats;
-  for (const auto& s : servers) {
-    const serve::ServerStats r = s->stats();
-    stats.connections += r.connections;
-    stats.admitted += r.admitted;
-    stats.served_ok += r.served_ok;
-    stats.rejected_full += r.rejected_full;
-    stats.rejected_quota += r.rejected_quota;
-    stats.deadline_miss += r.deadline_miss;
-    stats.cancelled += r.cancelled;
-    stats.malformed += r.malformed;
-    stats.errors += r.errors;
-    stats.shed_shutdown += r.shed_shutdown;
-    stats.batches += r.batches;
-    stats.batched_requests += r.batched_requests;
-    stats.models_built += r.models_built;
-    stats.model_cache_hits += r.model_cache_hits;
-    stats.model_cache_size += r.model_cache_size;
-    stats.queue_high_water = std::max(stats.queue_high_water,
-                                      r.queue_high_water);
-  }
+  const serve::ServerStats stats = server.stats();
   std::printf(
       "fsi_serve: %llu connections, %llu admitted, %llu ok, %llu retry-after "
       "(%llu over-quota), %llu deadline-miss, %llu cancelled, %llu malformed, "

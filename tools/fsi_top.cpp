@@ -167,30 +167,12 @@ void print_dashboard(const std::string& endpoint,
               static_cast<unsigned long long>(s.model_cache_hits),
               s.model_cache_hit_rate() * 100.0,
               static_cast<unsigned long long>(s.model_cache_size));
-  // Adaptive-policy line (stats v3): the active key's live tuning state —
-  // docs/tuning.md walks an operator through reading it.  Pre-v3 daemons
-  // report replicas == 0; skip the line rather than print zeros.
+  // Quota line (stats v3).  Pre-v3 daemons report replicas == 0; skip the
+  // line rather than print zeros.
   if (s.replicas > 0) {
-    if (!s.adaptive_enabled) {
-      std::printf("  policy       static (adaptive off)  replicas %llu  "
-                  "over-quota %llu\n",
-                  static_cast<unsigned long long>(s.replicas),
-                  static_cast<unsigned long long>(s.rejected_quota));
-    } else {
-      std::printf("  policy       window %lld us  max-batch %llu  %s  "
-                  "speedup %.2f  keys %llu\n",
-                  static_cast<long long>(s.policy_window_us),
-                  static_cast<unsigned long long>(s.policy_max_batch),
-                  s.policy_bypass ? "BYPASS" : "coalesce",
-                  s.policy_speedup,
-                  static_cast<unsigned long long>(s.policy_keys));
-      std::printf("               bypass enters %llu / exits %llu  "
-                  "replicas %llu  over-quota %llu\n",
-                  static_cast<unsigned long long>(s.bypass_enters),
-                  static_cast<unsigned long long>(s.bypass_exits),
-                  static_cast<unsigned long long>(s.replicas),
-                  static_cast<unsigned long long>(s.rejected_quota));
-    }
+    std::printf("  admission    max-batch %llu  over-quota %llu\n",
+                static_cast<unsigned long long>(s.policy_max_batch),
+                static_cast<unsigned long long>(s.rejected_quota));
   }
   // Mixed-precision line (stats v4): attempts and health-gate fallbacks.
   if (s.stats_version >= 4 && s.mixed_runs > 0) {
@@ -200,23 +182,6 @@ void print_dashboard(const std::string& endpoint,
                 static_cast<unsigned long long>(s.mixed_fallbacks),
                 100.0 * static_cast<double>(s.mixed_fallbacks) /
                     static_cast<double>(s.mixed_runs));
-  }
-  // Per-key policy table (stats v4), most recently dispatched first.
-  if (!s.policy_rows.empty()) {
-    std::printf("\n  per-key policy (%zu tracked):\n", s.policy_rows.size());
-    std::printf("    %-18s %10s %10s %9s %8s\n", "key", "window_us",
-                "max_batch", "mode", "speedup");
-    const std::size_t shown = std::min<std::size_t>(s.policy_rows.size(), 8);
-    for (std::size_t i = 0; i < shown; ++i) {
-      const serve::PolicyKeyRow& r = s.policy_rows[i];
-      std::printf("    %016llx %10lld %10llu %9s %8.2f\n",
-                  static_cast<unsigned long long>(r.key_hash),
-                  static_cast<long long>(r.window_us),
-                  static_cast<unsigned long long>(r.max_batch),
-                  r.bypass ? "BYPASS" : "coalesce", r.speedup);
-    }
-    if (shown < s.policy_rows.size())
-      std::printf("    ... %zu more\n", s.policy_rows.size() - shown);
   }
   std::printf("\n  rolling window (last ~10 s):\n");
   print_window("latency", s.latency_s, 1e3, "ms");

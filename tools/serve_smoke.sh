@@ -8,9 +8,9 @@
 # endpoint and validate the exposition grammar, then stop the daemon with
 # SIGTERM and check it exits cleanly and writes its telemetry.
 #
-# A second section boots a 2-replica fleet on one shared TCP port
-# (SO_REUSEPORT), drives verified clients through the kernel's connection
-# spreading, and checks the aggregated stats cover every request.
+# A second section boots one daemon on a tcp: endpoint, drives it with two
+# concurrent verified clients whose requests carry different batch keys,
+# and checks the daemon's telemetry accounts for every request.
 #
 # Usage: tools/serve_smoke.sh [build-dir]   (default: build)
 
@@ -21,13 +21,13 @@ tools_dir=$(dirname "$0")
 sock="unix:/tmp/fsi_serve_smoke_$$.sock"
 artifacts=$(mktemp -d)
 server_pid=""
-fleet_pid=""
-trap 'kill "$server_pid" "$fleet_pid" 2>/dev/null || true; rm -rf "$artifacts"' EXIT
+tcp_pid=""
+trap 'kill "$server_pid" "$tcp_pid" 2>/dev/null || true; rm -rf "$artifacts"' EXIT
 
 # --metrics with TCP port 0: the kernel picks a free port and the daemon
 # prints the resolved endpoint on its "metrics on" line.
 FSI_BENCH_DIR="$artifacts" "$build"/tools/fsi_serve \
-    --socket "$sock" --queue 32 --window-us 20000 --max-batch 4 \
+    --socket "$sock" --queue 32 --max-batch 4 \
     --metrics tcp:127.0.0.1:0 > "$artifacts/serve.log" 2>&1 &
 server_pid=$!
 
@@ -130,46 +130,44 @@ print(f"serve_smoke OK: {int(metrics['served_ok'])} served, "
 EOF
 
 # ---------------------------------------------------------------------------
-# 2-replica fleet on one shared TCP port (SO_REUSEPORT).  Port 0: replica 0
-# resolves a free port, the sibling binds the same one, and the daemon
-# prints the resolved endpoint on its "listening on" line.
-fleet_art=$(mktemp -d)
-FSI_BENCH_DIR="$fleet_art" "$build"/tools/fsi_serve \
-    --socket tcp:127.0.0.1:0 --replicas 2 --queue 32 --window-us 5000 \
-    --max-batch 4 > "$fleet_art/serve.log" 2>&1 &
-fleet_pid=$!
+# One daemon on a tcp: endpoint, two concurrent clients with different
+# batch keys.  Port 0: the daemon resolves a free port and prints it on its
+# "listening on" line.
+tcp_art=$(mktemp -d)
+FSI_BENCH_DIR="$tcp_art" "$build"/tools/fsi_serve \
+    --socket tcp:127.0.0.1:0 --queue 32 --max-batch 4 \
+    > "$tcp_art/serve.log" 2>&1 &
+tcp_pid=$!
 
-fleet_sock=""
+tcp_sock=""
 for _ in $(seq 1 50); do
-  fleet_sock=$(sed -n 's|.*listening on \(tcp:[0-9.]*:[0-9]*\) .*|\1|p' \
-      "$fleet_art/serve.log" | head -n1)
-  [ -n "$fleet_sock" ] && break
+  tcp_sock=$(sed -n 's|.*listening on \(tcp:[0-9.]*:[0-9]*\) .*|\1|p' \
+      "$tcp_art/serve.log" | head -n1)
+  [ -n "$tcp_sock" ] && break
   sleep 0.1
 done
-[ -n "$fleet_sock" ] || { echo "serve_smoke: fleet never announced its port"; cat "$fleet_art/serve.log"; exit 1; }
+[ -n "$tcp_sock" ] || { echo "serve_smoke: tcp daemon never announced its port"; cat "$tcp_art/serve.log"; exit 1; }
 
 pids=()
-"$build"/tools/fsi_request --socket "$fleet_sock" --lx 4 --L 8 --count 3 --seed 51 --verify & pids+=($!)
-"$build"/tools/fsi_request --socket "$fleet_sock" --lx 6 --L 12 --count 2 --seed 67 --verify & pids+=($!)
-"$build"/tools/fsi_request --socket "$fleet_sock" --lx 4 --L 8 --count 3 --seed 73 --verify & pids+=($!)
+"$build"/tools/fsi_request --socket "$tcp_sock" --lx 4 --L 8 --count 3 --seed 51 --verify & pids+=($!)
+"$build"/tools/fsi_request --socket "$tcp_sock" --lx 6 --L 12 --count 3 --seed 67 --verify & pids+=($!)
 fail=0
 for pid in "${pids[@]}"; do
   wait "$pid" || fail=1
 done
-[ "$fail" -eq 0 ] || { echo "serve_smoke: a fleet client failed"; cat "$fleet_art/serve.log"; exit 1; }
+[ "$fail" -eq 0 ] || { echo "serve_smoke: a tcp client failed"; cat "$tcp_art/serve.log"; exit 1; }
 
-kill -TERM "$fleet_pid"
-wait "$fleet_pid" || { echo "serve_smoke: fleet exited non-zero"; exit 1; }
-fleet_pid=""
+kill -TERM "$tcp_pid"
+wait "$tcp_pid" || { echo "serve_smoke: tcp daemon exited non-zero"; exit 1; }
+tcp_pid=""
 
-# Aggregated (cross-replica) telemetry must account for every request; the
-# kernel decides the split, so only the total is asserted.
-python3 - "$fleet_art/BENCH_fsi_serve.json" <<'EOF'
+# The daemon's telemetry must account for every request of both keys.
+python3 - "$tcp_art/BENCH_fsi_serve.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 metrics = {m["key"]: m["value"] for m in doc["metrics"]}
-assert metrics["served_ok"] == 8, metrics
-print(f"serve_smoke OK: 2-replica fleet served {int(metrics['served_ok'])} "
-      "verified requests on one SO_REUSEPORT port")
+assert metrics["served_ok"] == 6, metrics
+print(f"serve_smoke OK: tcp daemon served {int(metrics['served_ok'])} "
+      "verified requests of two batch keys")
 EOF
-rm -rf "$fleet_art"
+rm -rf "$tcp_art"
