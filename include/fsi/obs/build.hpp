@@ -33,9 +33,6 @@ struct BuildInfo {
 /// The process's build info.  Async-signal-safe (returns static data).
 const BuildInfo& build_info() noexcept;
 
-/// The info as a JSON object: {"version":...,"git_sha":...,...}.
-std::string build_info_json();
-
 /// Uniform `--version` line for the operational tools:
 ///   "<tool> <version> (<git_sha>) <compiler> [<build_type>]\n"
 std::string version_line(const char* tool);

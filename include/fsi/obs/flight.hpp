@@ -34,9 +34,9 @@
 /// and impossible in tests that snapshot quiesced threads.
 
 #include <cstdint>
-#include <string>
-#include <utility>
 #include <vector>
+
+#include "fsi/obs/trace.hpp"
 
 namespace fsi::obs::flight {
 
@@ -51,15 +51,6 @@ inline constexpr int kMaxThreads = 256;
 bool enabled() noexcept;
 void set_enabled(bool on) noexcept;
 
-/// One recorded span close, as copied out by snapshot().
-struct Record {
-  const char* name;       ///< string literal (Span contract)
-  std::int64_t t0_ns;     ///< start, obs::now_ns() clock
-  std::int64_t dur_ns;
-  std::uint64_t trace_id; ///< correlation id (0 = untagged)
-  std::int32_t omp_tid;   ///< omp_get_thread_num() at close
-};
-
 /// Record one span close into the calling thread's ring (no-op when
 /// disabled).  Called by obs::record_interval for every closing span.
 void record(const char* name, std::int64_t t0_ns, std::int64_t dur_ns,
@@ -68,10 +59,10 @@ void record(const char* name, std::int64_t t0_ns, std::int64_t dur_ns,
 /// Total records ever pushed (wrapped records still count).
 std::uint64_t recorded() noexcept;
 
-/// Copy out every registered ring's live records as (thread id, record),
-/// oldest first per thread.  For tests and tools running on quiesced
+/// Copy out every registered ring's live records (tid = the ring's thread
+/// id), oldest first per thread.  For tests and tools running on quiesced
 /// threads; a concurrent writer can hand a reader one mixed record.
-std::vector<std::pair<int, Record>> snapshot();
+std::vector<TraceEvent> snapshot();
 
 /// Reset every ring to empty (same non-racing contract as metrics::reset).
 void clear() noexcept;

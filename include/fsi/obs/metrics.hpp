@@ -4,8 +4,8 @@
 ///
 /// One registry of per-thread counter slots covering the quantities the
 /// paper's performance figures are built from: floating-point operations,
-/// bytes moved through the dense kernels and kernel invocations, plus pool,
-/// executor and serve activity.  fsi::util::flops is a thin façade over the Flops counter here,
+/// bytes moved through the dense kernels and kernel invocations, plus pool
+/// and serve activity.  fsi::util::flops is a thin façade over the Flops counter here,
 /// so flop accounting and the tracing subsystem share a single registry.
 ///
 /// Concurrency model (the result of the PR-1 audit of util/flops under the
@@ -34,8 +34,6 @@ enum class Counter : int {
   KernelCalls,     ///< dense kernel invocations (gemm/trsm/ormqr/...)
   PoolHits,        ///< workspace-pool acquires served from the free lists
   PoolMisses,      ///< workspace-pool acquires that fell through to malloc
-  ExecNodes,       ///< task-graph nodes executed by the executor
-  ExecSteals,      ///< successful steal-half operations in graph runs
   ServeRequests,   ///< inversion requests admitted by the serve front end
   ServeBatches,    ///< coalesced batches dispatched to the engine
   ServeRejected,   ///< requests shed with RETRY-AFTER (queue full)
@@ -51,8 +49,12 @@ enum class Counter : int {
   kCount
 };
 
-/// Human-readable name of a counter (e.g. "flops", "bytes_moved").
+/// Human-readable name of a counter (e.g. "flops", "bytes_moved") and its
+/// one-line description (the OpenMetrics HELP text).  Every metric kind has
+/// the same pair, read from one table per kind.  name() is
+/// async-signal-safe (the crash dump labels its counters with it).
 const char* name(Counter c) noexcept;
+const char* help(Counter c) noexcept;
 
 /// Add \p n to the calling thread's slot for counter \p c.
 void add(Counter c, std::uint64_t n) noexcept;
@@ -99,8 +101,6 @@ enum class Hist : int {
   WrapDrift = 0,  ///< ||G_wrap - G_recompute||_max at each stabilisation
   Cond1Reduced,   ///< 1-norm condition estimate of the reduced BSOFI matrix
   SelResidual,    ///< sampled ||(M G_sel - I) block||_max spot checks
-  ReadyDepth,     ///< own-deque depth sampled at each graph-executor pop
-  NodeSeconds,    ///< per-node wall time in the graph executor
   ServeLatency,   ///< serve request latency (arrival -> response), seconds
   ServeQueueWait, ///< serve admission-queue wait per request, seconds
   ServeBatchOccupancy,  ///< dispatched batch size / max_batch, in (0, 1]
@@ -116,6 +116,7 @@ inline constexpr int kHistBuckets = kHistMaxDecade - kHistMinDecade + 1;
 
 /// Human-readable name of a histogram (e.g. "wrap_drift").
 const char* name(Hist h) noexcept;
+const char* help(Hist h) noexcept;
 
 /// Bucket index for a value (clamped; non-positive and non-finite values go
 /// to the extreme buckets so nothing is silently dropped).
@@ -145,13 +146,14 @@ void reset(Hist h) noexcept;
 // ---------------------------------------------------------------------------
 // Windowed histograms — rolling last-~10-seconds percentiles for the serve
 // telemetry plane.  The lifetime histograms above accumulate forever, which
-// is what benches want but useless as a *control input* (ROADMAP item 1:
-// adaptive batching needs the occupancy and queue wait of the last few
-// seconds, not of the whole process).  A windowed histogram is a ring of
-// kWindowSeconds one-second buckets, each holding fine log-spaced value
-// counts; buckets are invalidated lazily when their wall second falls out
-// of the window, so there is no sweeper thread.  Recording takes a mutex —
-// windowed hists are for request-rate paths (serve), not kernel-rate ones.
+// is what benches want but hides what a live daemon is doing now: the stats
+// endpoint and /metrics report the latency, queue wait and occupancy of the
+// last few seconds, not of the whole process.  A windowed histogram is a
+// ring of kWindowSeconds one-second buckets, each holding fine log-spaced
+// value counts; buckets are invalidated lazily when their wall second falls
+// out of the window, so there is no sweeper thread.  Recording takes a
+// mutex — windowed hists are for request-rate paths (serve), not
+// kernel-rate ones.
 
 /// Width of the rolling window, in one-second ring buckets.
 inline constexpr int kWindowSeconds = 10;
@@ -197,7 +199,6 @@ enum class Gauge : int {
   WrapInterval = 0,   ///< DQMC stabilisation interval currently in effect
   FlushToZero,        ///< 1 when FTZ/DAZ was enabled on the main thread
   HealthSampleEvery,  ///< residual spot-check sampling period (0 = off)
-  ExecPoolWorkers,    ///< threads currently in the persistent executor pool
   ServeQueueDepth,    ///< serve admission-queue depth (sampled on change)
   StabScaleSpread,      ///< log10(dmax/dmin) of the last UDT chain recombined
   GreensLastDrift,      ///< most recent EqualTimeGreens wrap-drift sample
@@ -206,6 +207,7 @@ enum class Gauge : int {
 };
 
 const char* name(Gauge g) noexcept;
+const char* help(Gauge g) noexcept;
 void set(Gauge g, double value) noexcept;
 double get(Gauge g) noexcept;
 
@@ -221,6 +223,7 @@ enum class Accum : int {
 };
 
 const char* name(Accum a) noexcept;
+const char* help(Accum a) noexcept;
 void add_seconds(Accum a, double s) noexcept;
 double seconds(Accum a) noexcept;
 void reset(Accum a) noexcept;

@@ -133,8 +133,24 @@ double total_seconds(const std::string& name);
 /// The summary() rendered as a console table.
 std::string summary_str();
 
-/// All recorded events as a chrome://tracing JSON document
-/// ({"traceEvents": [...]}, "X" complete events, microsecond timestamps).
+/// One completed span, as recorded and as exported.
+struct TraceEvent {
+  const char* name;        ///< span name (not owned)
+  std::int64_t t0_ns;      ///< start on the now_ns() clock
+  std::int64_t dur_ns;
+  std::uint64_t trace_id;  ///< correlation id (0 = untagged)
+  std::int32_t tid;        ///< recording thread's id, in first-record order
+  std::int32_t omp_tid;    ///< omp_get_thread_num() at span close
+};
+
+/// \p events as a chrome://tracing JSON document ({"traceEvents": [...]},
+/// "X" complete events, microsecond timestamps, process id \p pid).
+/// Tagged events carry args.trace_id.  fsi_postmortem renders crash-dump
+/// rings through this too, so both timelines have one shape.
+std::string chrome_trace_json(const std::vector<TraceEvent>& events,
+                              std::int64_t pid);
+
+/// Every recorded event as chrome://tracing JSON (pid 0).
 std::string chrome_trace_json();
 
 /// Write chrome_trace_json() to \p path; returns false on I/O error.

@@ -135,7 +135,7 @@ class Server {
   /// call from any thread while the server runs.
   StatsResponse stats_snapshot() const;
 
-  /// Latency percentile (seconds) over all Ok responses so far;
+  /// Latency percentile (seconds) over the most recent 4096 Ok responses;
   /// \p p in [0, 1].  Returns 0 when nothing was served.
   double latency_quantile(double p) const;
 

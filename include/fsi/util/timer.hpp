@@ -1,11 +1,8 @@
 #pragma once
 /// \file timer.hpp
-/// \brief Wall-clock timing helpers used by the benchmark harnesses.
+/// \brief Monotonic wall-clock stopwatch for stage and node timings.
 
 #include <chrono>
-#include <deque>
-#include <string>
-#include <utility>
 
 namespace fsi::util {
 
@@ -25,61 +22,6 @@ class WallTimer {
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;
-};
-
-/// Accumulates wall time into named buckets; used for the per-stage
-/// (CLS / BSOFI / WRP) runtime profiles of Fig. 8 and Fig. 10.  Buckets keep
-/// insertion order and are iterable, so report layers (fsi/obs/report.hpp)
-/// can consume them directly.  Not thread-safe: one StageTimer per thread,
-/// or guard externally.
-class StageTimer {
- public:
-  /// RAII guard: adds the guarded scope's duration to a bucket.
-  class Guard {
-   public:
-    explicit Guard(double& bucket) : bucket_(bucket) {}
-    Guard(StageTimer& timer, const std::string& name)
-        : bucket_(timer.bucket(name)) {}
-    Guard(const Guard&) = delete;
-    Guard& operator=(const Guard&) = delete;
-    ~Guard() { bucket_ += timer_.seconds(); }
-
-   private:
-    double& bucket_;
-    WallTimer timer_;
-  };
-
-  /// Accumulated seconds of \p name, creating the bucket at zero on first
-  /// use.  The reference stays valid for the StageTimer's lifetime.
-  double& bucket(const std::string& name) {
-    for (auto& [n, s] : buckets_)
-      if (n == name) return s;
-    buckets_.emplace_back(name, 0.0);
-    return buckets_.back().second;
-  }
-
-  /// Seconds of \p name, or 0 if the bucket does not exist.
-  double seconds(const std::string& name) const {
-    for (const auto& [n, s] : buckets_)
-      if (n == name) return s;
-    return 0.0;
-  }
-
-  /// Zero every bucket (names are kept, so iteration order is stable
-  /// across repetitions of a measurement loop).
-  void reset() {
-    for (auto& [n, s] : buckets_) s = 0.0;
-  }
-
-  /// Named-bucket iteration, in insertion order.
-  auto begin() const { return buckets_.begin(); }
-  auto end() const { return buckets_.end(); }
-  std::size_t size() const { return buckets_.size(); }
-
- private:
-  // deque, not vector: bucket() hands out references (held by live Guards)
-  // that must survive later bucket creations.
-  std::deque<std::pair<std::string, double>> buckets_;
 };
 
 }  // namespace fsi::util

@@ -1,39 +1,8 @@
 #include "fsi/obs/build.hpp"
 
-#include <cstdio>
-
 #include "fsi_build_info.hpp"  // CMake-generated (src/obs/build_info.hpp.in)
 
 namespace fsi::obs {
-namespace {
-
-void json_escape(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-}
-
-void append_quoted(std::string& out, const char* key, const char* value,
-                   bool first = false) {
-  if (!first) out += ',';
-  out += '"';
-  out += key;
-  out += "\":\"";
-  json_escape(out, value);
-  out += '"';
-}
-
-}  // namespace
 
 const BuildInfo& build_info() noexcept {
   static constexpr BuildInfo info = {
@@ -48,18 +17,6 @@ const BuildInfo& build_info() noexcept {
       FSI_BUILD_CXX_FLAGS,
   };
   return info;
-}
-
-std::string build_info_json() {
-  const BuildInfo& b = build_info();
-  std::string out = "{";
-  append_quoted(out, "version", b.version, /*first=*/true);
-  append_quoted(out, "git_sha", b.git_sha);
-  append_quoted(out, "compiler", b.compiler);
-  append_quoted(out, "build_type", b.build_type);
-  append_quoted(out, "cxx_flags", b.cxx_flags);
-  out += '}';
-  return out;
 }
 
 std::string version_line(const char* tool) {

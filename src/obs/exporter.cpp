@@ -1,10 +1,10 @@
 #include "fsi/obs/exporter.hpp"
 
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 
 #include "fsi/obs/build.hpp"
+#include "fsi/obs/json.hpp"
 #include "fsi/obs/metrics.hpp"
 
 namespace fsi::obs {
@@ -14,79 +14,6 @@ using metrics::Accum;
 using metrics::Counter;
 using metrics::Gauge;
 using metrics::Hist;
-
-/// One-line HELP text per family.  OpenMetrics requires HELP/TYPE before
-/// any sample of the family, each family contiguous.
-const char* counter_help(Counter c) {
-  switch (c) {
-    case Counter::Flops: return "Floating point operations (textbook counts)";
-    case Counter::BytesMoved: return "Bytes read+written by dense kernels";
-    case Counter::KernelCalls: return "Dense kernel invocations";
-    case Counter::PoolHits: return "Workspace-pool acquires from free lists";
-    case Counter::PoolMisses: return "Workspace-pool acquires hitting malloc";
-    case Counter::ExecNodes: return "Task-graph nodes executed";
-    case Counter::ExecSteals: return "Graph-executor steal-half operations";
-    case Counter::ServeRequests: return "Inversion requests admitted";
-    case Counter::ServeBatches: return "Coalesced batches dispatched";
-    case Counter::ServeRejected: return "Requests shed with RETRY-AFTER";
-    case Counter::ServeDeadlineMiss: return "Requests past deadline on dispatch";
-    case Counter::ServeCancelled: return "Requests dropped on disconnect";
-    case Counter::ServeErrors: return "Requests answered Malformed or Error";
-    case Counter::ServeQuotaRejected: return "Requests shed: client over quota";
-    case Counter::MixedRuns: return "FSI runs attempted in mixed precision";
-    case Counter::MixedFallbacks: return "Mixed runs gated back to fp64";
-    case Counter::StabQrp: return "Pivoted-QR steps in UDT chains";
-    case Counter::StabRecombine: return "UDT recombination inversions";
-    case Counter::GreensRecomputes: return "Stabilised Greens recomputes";
-    case Counter::kCount: break;
-  }
-  return "";
-}
-
-const char* hist_help(Hist h) {
-  switch (h) {
-    case Hist::WrapDrift: return "Wrap-vs-recompute drift per stabilisation";
-    case Hist::Cond1Reduced: return "1-norm condition estimate, reduced matrix";
-    case Hist::SelResidual: return "Sampled selected-inverse residual";
-    case Hist::ReadyDepth: return "Own-deque depth at graph-executor pop";
-    case Hist::NodeSeconds: return "Per-node wall seconds, graph executor";
-    case Hist::ServeLatency: return "Serve request latency seconds";
-    case Hist::ServeQueueWait: return "Serve admission-queue wait seconds";
-    case Hist::ServeBatchOccupancy: return "Dispatched batch size / max_batch";
-    case Hist::kCount: break;
-  }
-  return "";
-}
-
-const char* gauge_help(Gauge g) {
-  switch (g) {
-    case Gauge::WrapInterval: return "DQMC stabilisation interval in effect";
-    case Gauge::FlushToZero: return "1 when FTZ/DAZ enabled on main thread";
-    case Gauge::HealthSampleEvery: return "Residual spot-check period (0=off)";
-    case Gauge::ExecPoolWorkers: return "Threads in persistent executor pool";
-    case Gauge::ServeQueueDepth: return "Serve admission-queue depth";
-    case Gauge::StabScaleSpread: return "log10(dmax/dmin) of last UDT chain";
-    case Gauge::GreensLastDrift: return "Most recent wrap-drift sample";
-    case Gauge::GreensMaxDrift: return "Worst wrap-drift since reset";
-    case Gauge::kCount: break;
-  }
-  return "";
-}
-
-const char* accum_help(Accum a) {
-  switch (a) {
-    case Accum::GreensRecompute: return "Seconds in stabilised recomputes";
-    case Accum::HealthCheck: return "Seconds in health-layer estimators";
-    case Accum::kCount: break;
-  }
-  return "";
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
 
 /// OpenMetrics sample values are floats; %.9g round-trips everything the
 /// registry produces while staying compact.  Non-finite values are spelled
@@ -105,10 +32,12 @@ void append_double(std::string& out, double v) {
   out += buf;
 }
 
+/// HELP then TYPE: OpenMetrics requires both before any sample of the
+/// family, and each family contiguous.
 void append_family_header(std::string& out, const std::string& family,
                           const char* type, const char* help) {
   out += "# HELP " + family + " ";
-  out += (help != nullptr && help[0] != '\0') ? help : "(no description)";
+  out += help;
   out += '\n';
   out += "# TYPE " + family + " ";
   out += type;
@@ -164,16 +93,16 @@ std::string openmetrics() {
   for (int c = 0; c < static_cast<int>(Counter::kCount); ++c) {
     const auto counter = static_cast<Counter>(c);
     const std::string family = std::string("fsi_") + metrics::name(counter);
-    append_family_header(out, family, "counter", counter_help(counter));
+    append_family_header(out, family, "counter", metrics::help(counter));
     out += family + "_total ";
-    append_u64(out, metrics::total(counter));
+    out += std::to_string(metrics::total(counter));
     out += '\n';
   }
 
   for (int g = 0; g < static_cast<int>(Gauge::kCount); ++g) {
     const auto gauge = static_cast<Gauge>(g);
     const std::string family = std::string("fsi_") + metrics::name(gauge);
-    append_family_header(out, family, "gauge", gauge_help(gauge));
+    append_family_header(out, family, "gauge", metrics::help(gauge));
     out += family + ' ';
     append_double(out, metrics::get(gauge));
     out += '\n';
@@ -184,7 +113,7 @@ std::string openmetrics() {
   for (int a = 0; a < static_cast<int>(Accum::kCount); ++a) {
     const auto accum = static_cast<Accum>(a);
     const std::string family = std::string("fsi_") + metrics::name(accum);
-    append_family_header(out, family, "counter", accum_help(accum));
+    append_family_header(out, family, "counter", metrics::help(accum));
     out += family + "_total ";
     append_double(out, metrics::seconds(accum));
     out += '\n';
@@ -195,21 +124,21 @@ std::string openmetrics() {
     const std::string family = std::string("fsi_") + metrics::name(hist);
     const metrics::HistSnapshot snap = metrics::hist(hist);
 
-    append_family_header(out, family, "histogram", hist_help(hist));
+    append_family_header(out, family, "histogram", metrics::help(hist));
     std::uint64_t cumulative = 0;
     for (int i = 0; i < metrics::kHistBuckets; ++i) {
       cumulative += snap.buckets[i];
       out += family + "_bucket{le=\"";
       append_le(out, i);
       out += "\"} ";
-      append_u64(out, cumulative);
+      out += std::to_string(cumulative);
       out += '\n';
     }
     out += family + "_sum ";
     append_double(out, snap.sum);
     out += '\n';
     out += family + "_count ";
-    append_u64(out, snap.count);
+    out += std::to_string(snap.count);
     out += '\n';
 
     // Rolling-window percentiles ride along as gauges: a percentile of the
@@ -236,12 +165,7 @@ std::string openmetrics() {
 
 bool write_openmetrics(const std::string& path) {
   const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string doc = openmetrics();
-  const bool wrote = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
+  if (!write_text_file(tmp, openmetrics())) {
     std::remove(tmp.c_str());
     return false;
   }

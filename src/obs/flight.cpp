@@ -271,8 +271,8 @@ std::uint64_t recorded() noexcept {
   return total;
 }
 
-std::vector<std::pair<int, Record>> snapshot() {
-  std::vector<std::pair<int, Record>> out;
+std::vector<TraceEvent> snapshot() {
+  std::vector<TraceEvent> out;
   const int rings = registered_rings();
   for (int i = 0; i < rings; ++i) {
     const Ring* r = g_rings[i].load(std::memory_order_acquire);
@@ -282,14 +282,12 @@ std::vector<std::pair<int, Record>> snapshot() {
         head < kRingCapacity ? head : static_cast<std::uint64_t>(kRingCapacity);
     for (std::uint64_t k = head - live; k != head; ++k) {
       const Rec& rec = r->recs[k & (kRingCapacity - 1)];
-      Record copy;
-      copy.name = rec.name.load(std::memory_order_relaxed);
-      if (copy.name == nullptr) continue;
-      copy.t0_ns = rec.t0_ns.load(std::memory_order_relaxed);
-      copy.dur_ns = rec.dur_ns.load(std::memory_order_relaxed);
-      copy.trace_id = rec.trace_id.load(std::memory_order_relaxed);
-      copy.omp_tid = rec.omp_tid.load(std::memory_order_relaxed);
-      out.emplace_back(r->tid, copy);
+      const char* name = rec.name.load(std::memory_order_relaxed);
+      if (name == nullptr) continue;
+      out.push_back({name, rec.t0_ns.load(std::memory_order_relaxed),
+                     rec.dur_ns.load(std::memory_order_relaxed),
+                     rec.trace_id.load(std::memory_order_relaxed), r->tid,
+                     rec.omp_tid.load(std::memory_order_relaxed)});
     }
   }
   return out;

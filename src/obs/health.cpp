@@ -7,6 +7,7 @@
 #include <mutex>
 
 #include "fsi/obs/env.hpp"
+#include "fsi/obs/json.hpp"
 #include "fsi/obs/log.hpp"
 
 namespace fsi::obs::health {
@@ -64,17 +65,20 @@ Status classify(double worst, std::uint64_t count, double warn,
   return Status::Ok;
 }
 
-/// Per-check streaming status, so WARN/FAIL *transitions* (and recoveries)
-/// reach the operational log the moment they happen instead of waiting for
-/// someone to ask for a report().  Indexed: 0 drift, 1 cond1, 2 residual.
-std::atomic<int> g_stream_status[3] = {};
+/// Per-histogram streaming status, so WARN/FAIL *transitions* (and
+/// recoveries) reach the operational log the moment they happen instead of
+/// waiting for someone to ask for a report().
+std::atomic<int> g_stream_status[static_cast<int>(metrics::Hist::kCount)] = {};
 
-void note_transition(int idx, const char* check, double value, double warn,
-                     double fail) noexcept {
+/// Record \p value into \p h and log a status transition, if any.
+void observe(metrics::Hist h, double value, double warn,
+             double fail) noexcept {
+  metrics::record(h, value);
   const Status now = classify(value, 1, warn, fail);
-  const int prev = g_stream_status[idx].exchange(static_cast<int>(now),
-                                                 std::memory_order_relaxed);
+  const int prev = g_stream_status[static_cast<int>(h)].exchange(
+      static_cast<int>(now), std::memory_order_relaxed);
   if (prev == static_cast<int>(now)) return;
+  const char* check = metrics::name(h);
   if (now == Status::Fail) {
     FSI_LOG_ERROR("health.fail", {"check", check}, {"value", value},
                   {"threshold", fail});
@@ -97,21 +101,6 @@ CheckRow hist_row(metrics::Hist h, double warn, double fail) {
   row.fail = fail;
   row.status = classify(s.max, s.count, warn, fail);
   return row;
-}
-
-void json_escape(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
 }
 
 }  // namespace
@@ -151,9 +140,8 @@ void set_thresholds(const Thresholds& t) noexcept {
 
 void record_drift(double drift) noexcept {
   if (!enabled()) return;
-  metrics::record(metrics::Hist::WrapDrift, drift);
   const Thresholds t = thresholds();  // before state_mutex: shares the lock
-  note_transition(0, "wrap_drift", drift, t.drift_warn, t.drift_fail);
+  observe(metrics::Hist::WrapDrift, drift, t.drift_warn, t.drift_fail);
   std::lock_guard<std::mutex> lock(state_mutex());
   ColdState& s = cold_locked();
   s.drift_ring[s.drift_total % kDriftHistoryCapacity] = drift;
@@ -162,16 +150,14 @@ void record_drift(double drift) noexcept {
 
 void record_cond1(double cond) noexcept {
   if (!enabled()) return;
-  metrics::record(metrics::Hist::Cond1Reduced, cond);
   const Thresholds t = thresholds();
-  note_transition(1, "cond1_reduced", cond, t.cond_warn, t.cond_fail);
+  observe(metrics::Hist::Cond1Reduced, cond, t.cond_warn, t.cond_fail);
 }
 
 void record_residual(double resid) noexcept {
   if (!enabled()) return;
-  metrics::record(metrics::Hist::SelResidual, resid);
   const Thresholds t = thresholds();
-  note_transition(2, "sel_residual", resid, t.resid_warn, t.resid_fail);
+  observe(metrics::Hist::SelResidual, resid, t.resid_warn, t.resid_fail);
 }
 
 void record_nonfinite(const char* where) noexcept {
@@ -289,18 +275,15 @@ std::string HealthReport::json() const {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const CheckRow& r = rows[i];
     if (i > 0) out += ',';
-    out += "{\"name\":\"";
-    json_escape(out, r.name);
-    out += "\",\"status\":\"";
+    out += "{\"name\":" + json_string(r.name) + ",\"status\":\"";
     out += status_name(r.status);
     std::snprintf(buf, sizeof buf,
                   "\",\"count\":%llu,\"last\":%.6g,\"worst\":%.6g,"
-                  "\"warn\":%.6g,\"fail\":%.6g,\"note\":\"",
+                  "\"warn\":%.6g,\"fail\":%.6g,\"note\":",
                   static_cast<unsigned long long>(r.count), r.last, r.worst,
                   r.warn, r.fail);
     out += buf;
-    json_escape(out, r.note);
-    out += "\"}";
+    out += json_string(r.note) + '}';
   }
   out += "],\"drift_history\":[";
   for (std::size_t i = 0; i < drift_history.size(); ++i) {

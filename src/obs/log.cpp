@@ -2,12 +2,12 @@
 
 #include <cctype>
 #include <chrono>
-#include <cinttypes>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
 
 #include "fsi/obs/env.hpp"
+#include "fsi/obs/json.hpp"
 #include "fsi/obs/trace.hpp"
 
 namespace fsi::obs::log {
@@ -53,8 +53,8 @@ struct EnvInit {
 };
 EnvInit g_env_init;
 
-/// ts=2026-08-09T12:34:56.789Z — wall clock, UTC, millisecond resolution.
-void append_timestamp(std::string& out) {
+/// 2026-08-09T12:34:56.789Z: wall clock, UTC, millisecond resolution.
+std::string timestamp() {
   using namespace std::chrono;
   const auto now = system_clock::now();
   const std::time_t secs = system_clock::to_time_t(now);
@@ -66,34 +66,11 @@ void append_timestamp(std::string& out) {
 #else
   gmtime_r(&secs, &tm);
 #endif
-  char buf[40];
+  char buf[80];  // room for any int field, so -Wformat-truncation stays quiet
   std::snprintf(buf, sizeof buf, "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                 tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
                 tm.tm_min, tm.tm_sec, static_cast<int>(ms));
-  out += buf;
-}
-
-/// Escape for a double-quoted string in either format (logfmt quoting is a
-/// JSON-compatible subset, so one escaper serves both).
-void append_escaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  return buf;
 }
 
 bool needs_quotes(const std::string& v) {
@@ -105,25 +82,18 @@ bool needs_quotes(const std::string& v) {
   return false;
 }
 
-void append_logfmt_value(std::string& out, const Field& f) {
-  if (f.is_string && needs_quotes(f.value)) {
-    out += '"';
-    append_escaped(out, f.value.c_str());
-    out += '"';
-  } else if (f.is_string) {
-    out += f.value;  // bare token, no quoting needed
+/// Append one key/value pair to a line in either format.  jsonl writes
+/// string values as JSON string literals; logfmt quotes a string (as the
+/// same literal) only when it would not survive as a bare token.
+void append_pair(std::string& line, Format fmt, const char* key,
+                 const std::string& value, bool is_string) {
+  if (fmt == Format::Jsonl) {
+    if (line.size() > 1) line += ',';
+    line += json_string(key) + ':' + (is_string ? json_string(value) : value);
   } else {
-    out += f.value;
-  }
-}
-
-void append_json_value(std::string& out, const Field& f) {
-  if (f.is_string) {
-    out += '"';
-    append_escaped(out, f.value.c_str());
-    out += '"';
-  } else {
-    out += f.value;
+    if (!line.empty()) line += ' ';
+    line += std::string(key) + '=' +
+            (is_string && needs_quotes(value) ? json_string(value) : value);
   }
 }
 
@@ -203,17 +173,11 @@ Field::Field(const char* k, const char* v)
 Field::Field(const char* k, const std::string& v)
     : key(k), value(v), is_string(true) {}
 
-Field::Field(const char* k, long long v) : key(k), is_string(false) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%lld", v);
-  value = buf;
-}
+Field::Field(const char* k, long long v)
+    : key(k), value(std::to_string(v)), is_string(false) {}
 
-Field::Field(const char* k, unsigned long long v) : key(k), is_string(false) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%llu", v);
-  value = buf;
-}
+Field::Field(const char* k, unsigned long long v)
+    : key(k), value(std::to_string(v)), is_string(false) {}
 
 Field::Field(const char* k, double v) : key(k), is_string(false) {
   char buf[32];
@@ -262,58 +226,18 @@ void write(Level lv, const char* event, Site* site,
   if (site != nullptr)
     suppressed = site->suppressed.exchange(0, std::memory_order_relaxed);
 
-  std::string line;
+  std::string line = fmt == Format::Jsonl ? "{" : "";
   line.reserve(128);
-  if (fmt == Format::Jsonl) {
-    line += "{\"ts\":\"";
-    append_timestamp(line);
-    line += "\",\"level\":\"";
-    line += level_name(lv);
-    line += "\",\"event\":\"";
-    append_escaped(line, event);
-    line += '"';
-    if (trace != 0) {
-      char buf[32];
-      std::snprintf(buf, sizeof buf, ",\"trace\":%" PRIu64, trace);
-      line += buf;
-    }
-    for (const Field& f : fields) {
-      line += ",\"";
-      append_escaped(line, f.key);
-      line += "\":";
-      append_json_value(line, f);
-    }
-    if (suppressed != 0) {
-      char buf[40];
-      std::snprintf(buf, sizeof buf, ",\"suppressed\":%" PRIu64, suppressed);
-      line += buf;
-    }
-    line += "}\n";
-  } else {
-    line += "ts=";
-    append_timestamp(line);
-    line += " level=";
-    line += level_name(lv);
-    line += " event=";
-    line += event;
-    if (trace != 0) {
-      char buf[32];
-      std::snprintf(buf, sizeof buf, " trace=%" PRIu64, trace);
-      line += buf;
-    }
-    for (const Field& f : fields) {
-      line += ' ';
-      line += f.key;
-      line += '=';
-      append_logfmt_value(line, f);
-    }
-    if (suppressed != 0) {
-      char buf[40];
-      std::snprintf(buf, sizeof buf, " suppressed=%" PRIu64, suppressed);
-      line += buf;
-    }
-    line += '\n';
-  }
+  append_pair(line, fmt, "ts", timestamp(), true);
+  append_pair(line, fmt, "level", level_name(lv), true);
+  append_pair(line, fmt, "event", event, true);
+  if (trace != 0)
+    append_pair(line, fmt, "trace", std::to_string(trace), false);
+  for (const Field& f : fields)
+    append_pair(line, fmt, f.key, f.value, f.is_string);
+  if (suppressed != 0)
+    append_pair(line, fmt, "suppressed", std::to_string(suppressed), false);
+  line += fmt == Format::Jsonl ? "}\n" : "\n";
 
   std::lock_guard<std::mutex> lock(g_sink_mu);
   std::FILE* out = g_sink != nullptr ? g_sink : stderr;

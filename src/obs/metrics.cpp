@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <iterator>
 #include <mutex>
 
 #include "fsi/obs/trace.hpp"  // now_ns(): the windowed-histogram clock
@@ -13,6 +14,74 @@ namespace {
 constexpr int kNumCounters = static_cast<int>(Counter::kCount);
 constexpr int kNumHists = static_cast<int>(Hist::kCount);
 constexpr int kNumAccums = static_cast<int>(Accum::kCount);
+
+/// Name and one-line HELP text of one metric.  One table per kind, indexed
+/// by the enum; name() and help() read it and the exporter, the telemetry
+/// writer and the crash dump all label their output from it.
+struct Meta {
+  const char* name;
+  const char* help;
+};
+
+constexpr Meta kCounterMeta[] = {
+    {"flops", "Floating point operations (textbook counts)"},
+    {"bytes_moved", "Bytes read+written by dense kernels"},
+    {"kernel_calls", "Dense kernel invocations"},
+    {"pool_hits", "Workspace-pool acquires from free lists"},
+    {"pool_misses", "Workspace-pool acquires hitting malloc"},
+    {"serve_requests", "Inversion requests admitted"},
+    {"serve_batches", "Coalesced batches dispatched"},
+    {"serve_rejected", "Requests shed with RETRY-AFTER"},
+    {"serve_deadline_miss", "Requests past deadline on dispatch"},
+    {"serve_cancelled", "Requests dropped on disconnect"},
+    {"serve_errors", "Requests answered Malformed or Error"},
+    {"serve_quota_rejected", "Requests shed: client over quota"},
+    {"mixed_runs", "FSI runs attempted in mixed precision"},
+    {"mixed_fallbacks", "Mixed runs gated back to fp64"},
+    {"stab_qrp", "Pivoted-QR steps in UDT chains"},
+    {"stab_recombine", "UDT recombination inversions"},
+    {"greens_recomputes", "Stabilised Greens recomputes"},
+};
+
+constexpr Meta kHistMeta[] = {
+    {"wrap_drift", "Wrap-vs-recompute drift per stabilisation"},
+    {"cond1_reduced", "1-norm condition estimate, reduced matrix"},
+    {"sel_residual", "Sampled selected-inverse residual"},
+    {"serve_latency_s", "Serve request latency seconds"},
+    {"serve_queue_wait_s", "Serve admission-queue wait seconds"},
+    {"serve_batch_occupancy", "Dispatched batch size / max_batch"},
+};
+
+constexpr Meta kGaugeMeta[] = {
+    {"wrap_interval", "DQMC stabilisation interval in effect"},
+    {"flush_to_zero", "1 when FTZ/DAZ enabled on main thread"},
+    {"health_sample_every", "Residual spot-check period (0=off)"},
+    {"serve_queue_depth", "Serve admission-queue depth"},
+    {"stab_scale_spread_log10", "log10(dmax/dmin) of last UDT chain"},
+    {"greens_last_drift", "Most recent wrap-drift sample"},
+    {"greens_max_drift", "Worst wrap-drift since reset"},
+};
+
+constexpr Meta kAccumMeta[] = {
+    {"greens_recompute_s", "Seconds in stabilised recomputes"},
+    {"health_check_s", "Seconds in health-layer estimators"},
+};
+
+static_assert(std::size(kCounterMeta) ==
+              static_cast<std::size_t>(Counter::kCount));
+static_assert(std::size(kHistMeta) == static_cast<std::size_t>(Hist::kCount));
+static_assert(std::size(kGaugeMeta) ==
+              static_cast<std::size_t>(Gauge::kCount));
+static_assert(std::size(kAccumMeta) ==
+              static_cast<std::size_t>(Accum::kCount));
+
+/// The table row of \p e ({"?", ""} for an out-of-range value).
+template <class E, std::size_t N>
+const Meta& meta(const Meta (&table)[N], E e) noexcept {
+  static constexpr Meta kUnknown = {"?", ""};
+  const auto i = static_cast<std::size_t>(e);
+  return i < N ? table[i] : kUnknown;
+}
 
 /// One thread's view of one histogram.  min/max/sum are owner-written
 /// plain-load-then-store relaxed atomics, like the counter cells.
@@ -70,31 +139,14 @@ Slot& local_slot() {
 
 }  // namespace
 
-const char* name(Counter c) noexcept {
-  switch (c) {
-    case Counter::Flops: return "flops";
-    case Counter::BytesMoved: return "bytes_moved";
-    case Counter::KernelCalls: return "kernel_calls";
-    case Counter::PoolHits: return "pool_hits";
-    case Counter::PoolMisses: return "pool_misses";
-    case Counter::ExecNodes: return "exec_nodes";
-    case Counter::ExecSteals: return "exec_steals";
-    case Counter::ServeRequests: return "serve_requests";
-    case Counter::ServeBatches: return "serve_batches";
-    case Counter::ServeRejected: return "serve_rejected";
-    case Counter::ServeDeadlineMiss: return "serve_deadline_miss";
-    case Counter::ServeCancelled: return "serve_cancelled";
-    case Counter::ServeErrors: return "serve_errors";
-    case Counter::ServeQuotaRejected: return "serve_quota_rejected";
-    case Counter::MixedRuns: return "mixed_runs";
-    case Counter::MixedFallbacks: return "mixed_fallbacks";
-    case Counter::StabQrp: return "stab_qrp";
-    case Counter::StabRecombine: return "stab_recombine";
-    case Counter::GreensRecomputes: return "greens_recomputes";
-    case Counter::kCount: break;
-  }
-  return "?";
-}
+const char* name(Counter c) noexcept { return meta(kCounterMeta, c).name; }
+const char* help(Counter c) noexcept { return meta(kCounterMeta, c).help; }
+const char* name(Hist h) noexcept { return meta(kHistMeta, h).name; }
+const char* help(Hist h) noexcept { return meta(kHistMeta, h).help; }
+const char* name(Gauge g) noexcept { return meta(kGaugeMeta, g).name; }
+const char* help(Gauge g) noexcept { return meta(kGaugeMeta, g).help; }
+const char* name(Accum a) noexcept { return meta(kAccumMeta, a).name; }
+const char* help(Accum a) noexcept { return meta(kAccumMeta, a).help; }
 
 void add(Counter c, std::uint64_t n) noexcept {
   // Owner-only write: load + store instead of fetch_add keeps the hot path
@@ -178,21 +230,6 @@ std::vector<std::pair<const char*, std::uint64_t>> snapshot() {
 
 // ---------------------------------------------------------------------------
 // Histograms.
-
-const char* name(Hist h) noexcept {
-  switch (h) {
-    case Hist::WrapDrift: return "wrap_drift";
-    case Hist::Cond1Reduced: return "cond1_reduced";
-    case Hist::SelResidual: return "sel_residual";
-    case Hist::ReadyDepth: return "ready_depth";
-    case Hist::NodeSeconds: return "node_seconds";
-    case Hist::ServeLatency: return "serve_latency_s";
-    case Hist::ServeQueueWait: return "serve_queue_wait_s";
-    case Hist::ServeBatchOccupancy: return "serve_batch_occupancy";
-    case Hist::kCount: break;
-  }
-  return "?";
-}
 
 int hist_bucket(double value) noexcept {
   if (!(value > 0.0)) return 0;  // non-positive and NaN: lowest bucket
@@ -378,21 +415,6 @@ void reset_window(Hist h) noexcept {
 // ---------------------------------------------------------------------------
 // Gauges.
 
-const char* name(Gauge g) noexcept {
-  switch (g) {
-    case Gauge::WrapInterval: return "wrap_interval";
-    case Gauge::FlushToZero: return "flush_to_zero";
-    case Gauge::HealthSampleEvery: return "health_sample_every";
-    case Gauge::ExecPoolWorkers: return "exec_pool_workers";
-    case Gauge::ServeQueueDepth: return "serve_queue_depth";
-    case Gauge::StabScaleSpread: return "stab_scale_spread_log10";
-    case Gauge::GreensLastDrift: return "greens_last_drift";
-    case Gauge::GreensMaxDrift: return "greens_max_drift";
-    case Gauge::kCount: break;
-  }
-  return "?";
-}
-
 void set(Gauge g, double value) noexcept {
   gauge_cell(g).store(value, std::memory_order_relaxed);
 }
@@ -403,15 +425,6 @@ double get(Gauge g) noexcept {
 
 // ---------------------------------------------------------------------------
 // Wall-time accumulators.
-
-const char* name(Accum a) noexcept {
-  switch (a) {
-    case Accum::GreensRecompute: return "greens_recompute_s";
-    case Accum::HealthCheck: return "health_check_s";
-    case Accum::kCount: break;
-  }
-  return "?";
-}
 
 void add_seconds(Accum a, double s) noexcept {
   std::atomic<double>& cell = local_slot().accums[static_cast<int>(a)];

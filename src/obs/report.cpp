@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "fsi/obs/json.hpp"
+
 namespace fsi::obs {
 
 void Report::add_stage(std::string name, double measured_s,
@@ -54,11 +56,12 @@ std::string Report::json() const {
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     const StageRow& r = rows_[i];
     if (i > 0) out += ',';
+    out += "{\"name\":" + json_string(r.name);
     std::snprintf(buf, sizeof buf,
-                  "{\"name\":\"%s\",\"measured_s\":%.6g,\"measured_flops\":"
+                  ",\"measured_s\":%.6g,\"measured_flops\":"
                   "%.6g,\"gflops\":%.6g,\"predicted_flops\":%.6g,"
                   "\"predicted_s\":%.6g,\"pct_of_predicted\":%.6g}",
-                  r.name.c_str(), r.measured_s, r.measured_flops, r.gflops(),
+                  r.measured_s, r.measured_flops, r.gflops(),
                   r.predicted_flops, r.predicted_s(ref_gflops_),
                   r.pct_of_predicted(ref_gflops_));
     out += buf;

@@ -9,6 +9,7 @@
 
 #include "fsi/obs/build.hpp"
 #include "fsi/obs/health.hpp"
+#include "fsi/obs/json.hpp"
 #include "fsi/obs/metrics.hpp"
 #include "fsi/obs/trace.hpp"
 
@@ -19,28 +20,6 @@ double steady_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-void json_escape(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-}
-
-std::string quoted(const std::string& s) {
-  std::string out = "\"";
-  json_escape(out, s);
-  out += '"';
-  return out;
 }
 
 std::string num(double v) {
@@ -56,7 +35,7 @@ BenchTelemetry::BenchTelemetry(std::string bench_name)
 
 void BenchTelemetry::add_info(const std::string& key,
                               const std::string& value) {
-  info_.emplace_back(key, quoted(value));
+  info_.emplace_back(key, json_string(value));
 }
 
 void BenchTelemetry::add_info(const std::string& key, double value) {
@@ -72,8 +51,7 @@ void BenchTelemetry::add_metric(const std::string& key, double value,
 std::string BenchTelemetry::json() const {
   std::string out = "{\"schema\":\"";
   out += kBenchSchema;
-  out += "\",\"bench\":";
-  out += quoted(name_);
+  out += "\",\"bench\":" + json_string(name_);
   out += ",\"wall_s\":";
   out += num(steady_seconds() - start_s_);
 
@@ -81,11 +59,11 @@ std::string BenchTelemetry::json() const {
   // compiler, flag, thread-count or FP-environment change — and to match an
   // artifact back to the exact commit that produced it.
   const BuildInfo& bi = build_info();
-  out += ",\"build\":{\"version\":" + quoted(bi.version);
-  out += ",\"git_sha\":" + quoted(bi.git_sha);
-  out += ",\"build_type\":" + quoted(bi.build_type);
-  out += ",\"cxx_flags\":" + quoted(bi.cxx_flags);
-  out += ",\"compiler\":" + quoted(bi.compiler);
+  out += ",\"build\":{\"version\":" + json_string(bi.version);
+  out += ",\"git_sha\":" + json_string(bi.git_sha);
+  out += ",\"build_type\":" + json_string(bi.build_type);
+  out += ",\"cxx_flags\":" + json_string(bi.cxx_flags);
+  out += ",\"compiler\":" + json_string(bi.compiler);
 #if defined(NDEBUG)
   out += ",\"ndebug\":true";
 #else
@@ -100,7 +78,7 @@ std::string BenchTelemetry::json() const {
   out += ",\"config\":{";
   for (std::size_t i = 0; i < info_.size(); ++i) {
     if (i > 0) out += ',';
-    out += quoted(info_[i].first) + ':' + info_[i].second;
+    out += json_string(info_[i].first) + ':' + info_[i].second;
   }
   out += '}';
 
@@ -108,8 +86,8 @@ std::string BenchTelemetry::json() const {
   for (std::size_t i = 0; i < metrics_.size(); ++i) {
     const BenchMetric& m = metrics_[i];
     if (i > 0) out += ',';
-    out += "{\"key\":" + quoted(m.key) + ",\"value\":" + num(m.value) +
-           ",\"unit\":" + quoted(m.unit) +
+    out += "{\"key\":" + json_string(m.key) + ",\"value\":" + num(m.value) +
+           ",\"unit\":" + json_string(m.unit) +
            ",\"gate\":" + (m.gate ? "true" : "false") +
            ",\"higher_is_better\":" + (m.higher_is_better ? "true" : "false") +
            '}';
@@ -121,7 +99,7 @@ std::string BenchTelemetry::json() const {
     const auto counts = metrics::snapshot();
     for (std::size_t i = 0; i < counts.size(); ++i) {
       if (i > 0) out += ',';
-      out += quoted(counts[i].first) + ':' +
+      out += json_string(counts[i].first) + ':' +
              std::to_string(counts[i].second);
     }
   }
@@ -131,7 +109,7 @@ std::string BenchTelemetry::json() const {
   for (int a = 0; a < static_cast<int>(metrics::Accum::kCount); ++a) {
     const auto acc = static_cast<metrics::Accum>(a);
     if (a > 0) out += ',';
-    out += quoted(metrics::name(acc)) + ':' + num(metrics::seconds(acc));
+    out += json_string(metrics::name(acc)) + ':' + num(metrics::seconds(acc));
   }
   out += '}';
 
@@ -147,7 +125,7 @@ std::string BenchTelemetry::json() const {
       if (snap.count == 0) continue;
       if (!first) out += ',';
       first = false;
-      out += quoted(metrics::name(hist_id)) + ":{";
+      out += json_string(metrics::name(hist_id)) + ":{";
       out += "\"count\":" + std::to_string(snap.count);
       out += ",\"sum\":" + num(snap.sum);
       out += ",\"mean\":" + num(snap.mean());
@@ -168,7 +146,7 @@ std::string BenchTelemetry::json() const {
     for (std::size_t i = 0; i < spans.size(); ++i) {
       const SpanStats& s = spans[i];
       if (i > 0) out += ',';
-      out += "{\"name\":" + quoted(s.name) +
+      out += "{\"name\":" + json_string(s.name) +
              ",\"count\":" + std::to_string(s.count) +
              ",\"total_s\":" + num(s.total_s) + ",\"min_s\":" + num(s.min_s) +
              ",\"p50_s\":" + num(s.p50_s) + ",\"max_s\":" + num(s.max_s) + '}';
@@ -189,12 +167,7 @@ std::string artifact_dir() {
 
 std::string BenchTelemetry::write() const {
   const std::string path = artifact_dir() + "/BENCH_" + name_ + ".json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return "";
-  const std::string doc = json();
-  const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  const bool closed = std::fclose(f) == 0;
-  return (ok && closed) ? path : "";
+  return write_text_file(path, json()) ? path : "";
 }
 
 }  // namespace fsi::obs

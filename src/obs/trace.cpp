@@ -12,6 +12,7 @@
 
 #include "fsi/obs/env.hpp"
 #include "fsi/obs/flight.hpp"
+#include "fsi/obs/json.hpp"
 #include "fsi/obs/telemetry.hpp"
 
 namespace fsi::obs {
@@ -24,16 +25,6 @@ std::atomic<bool> g_trace_enabled{env_flag("FSI_TRACE", false)};
 
 namespace {
 
-/// One recorded span.
-struct Event {
-  const char* name;
-  std::int64_t t0_ns;
-  std::int64_t dur_ns;
-  std::uint64_t trace_id;  ///< correlation id (0 = untagged)
-  std::int32_t omp_tid;    ///< omp_get_thread_num() at span close
-  std::int32_t tid;        ///< recording thread's id, in first-record order
-};
-
 /// The process-wide correlation id (see set_active_trace in the header).
 std::atomic<std::uint64_t> g_active_trace{0};
 
@@ -45,10 +36,11 @@ std::atomic<std::uint64_t> g_active_trace{0};
 struct ThreadBuffer {
   static constexpr std::size_t kCapacity = 1 << 16;
 
-  std::unique_ptr<Event[]> events{new Event[kCapacity]};
+  std::unique_ptr<TraceEvent[]> events{new TraceEvent[kCapacity]};
   std::atomic<std::size_t> size{0};
 
-  void push(const Event& e, std::atomic<std::uint64_t>& dropped) noexcept {
+  void push(const TraceEvent& e,
+            std::atomic<std::uint64_t>& dropped) noexcept {
     const std::size_t n = size.load(std::memory_order_relaxed);
     if (n >= kCapacity) {
       dropped.fetch_add(1, std::memory_order_relaxed);
@@ -125,22 +117,6 @@ std::chrono::steady_clock::time_point process_epoch() {
 // Touch the epoch at static-init time so timestamps are process-relative.
 const auto g_epoch_init = process_epoch();
 
-void json_escape(std::string& out, const char* s) {
-  for (; *s; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-}
-
 }  // namespace
 
 std::int64_t now_ns() noexcept {
@@ -163,7 +139,7 @@ void record_interval(const char* name, std::int64_t t0_ns, std::int64_t t1_ns,
   if (!enabled()) return;
   LocalSlot& slot = local_slot();
   slot.buf->push(
-      {name, t0_ns, t1_ns - t0_ns, trace_id, omp_get_thread_num(), slot.tid},
+      {name, t0_ns, t1_ns - t0_ns, trace_id, slot.tid, omp_get_thread_num()},
       dropped_counter());
 }
 
@@ -201,10 +177,10 @@ std::size_t thread_buffer_count() noexcept {
 namespace {
 
 /// Copy out a consistent snapshot of every thread's recorded events.
-std::vector<Event> snapshot_events() {
+std::vector<TraceEvent> snapshot_events() {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);
-  std::vector<Event> out;
+  std::vector<TraceEvent> out;
   for (const auto& b : r.buffers) {
     const std::size_t n = b->size.load(std::memory_order_acquire);
     out.insert(out.end(), b->events.get(), b->events.get() + n);
@@ -216,7 +192,7 @@ std::vector<Event> snapshot_events() {
 
 std::vector<SpanStats> summary() {
   std::map<std::string, std::vector<double>> durations;
-  for (const Event& e : snapshot_events())
+  for (const TraceEvent& e : snapshot_events())
     durations[e.name].push_back(static_cast<double>(e.dur_ns) * 1e-9);
 
   std::vector<SpanStats> out;
@@ -240,7 +216,7 @@ std::vector<SpanStats> summary() {
 
 double total_seconds(const std::string& name) {
   double total = 0.0;
-  for (const Event& e : snapshot_events())
+  for (const TraceEvent& e : snapshot_events())
     if (name == e.name) total += static_cast<double>(e.dur_ns) * 1e-9;
   return total;
 }
@@ -261,23 +237,25 @@ std::string summary_str() {
   return out;
 }
 
-std::string chrome_trace_json() {
+std::string chrome_trace_json(const std::vector<TraceEvent>& events,
+                              std::int64_t pid) {
   std::string out = "{\"traceEvents\":[";
   char buf[256];
   bool first = true;
-  for (const Event& e : snapshot_events()) {
+  for (const TraceEvent& e : events) {
     if (!first) out += ',';
     first = false;
-    out += "{\"name\":\"";
-    json_escape(out, e.name);
+    out += "{\"name\":";
+    out += json_string(e.name);
     // Complete ("X") events; chrome expects microsecond timestamps.  Tagged
     // events carry their correlation id so a stitched client+server serve
     // timeline can be filtered by args.trace_id in the viewer.
     std::snprintf(buf, sizeof buf,
-                  "\",\"cat\":\"fsi\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"
-                  "\"pid\":0,\"tid\":%d,\"args\":{\"omp_tid\":%d",
+                  ",\"cat\":\"fsi\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"
+                  "\"pid\":%lld,\"tid\":%d,\"args\":{\"omp_tid\":%d",
                   static_cast<double>(e.t0_ns) * 1e-3,
-                  static_cast<double>(e.dur_ns) * 1e-3, e.tid, e.omp_tid);
+                  static_cast<double>(e.dur_ns) * 1e-3,
+                  static_cast<long long>(pid), e.tid, e.omp_tid);
     out += buf;
     if (e.trace_id != 0) {
       std::snprintf(buf, sizeof buf, ",\"trace_id\":%llu",
@@ -290,12 +268,12 @@ std::string chrome_trace_json() {
   return out;
 }
 
+std::string chrome_trace_json() {
+  return chrome_trace_json(snapshot_events(), 0);
+}
+
 bool write_chrome_trace(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = chrome_trace_json();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok;
+  return write_text_file(path, chrome_trace_json());
 }
 
 std::string write_trace_if_enabled(const std::string& basename) {

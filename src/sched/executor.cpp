@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "fsi/obs/metrics.hpp"
 #include "fsi/util/check.hpp"
 #include "fsi/util/timer.hpp"
 
@@ -51,10 +50,8 @@ void GraphRunner::run_worker(int worker) {
   for (;;) {
     std::uint32_t id;
     if (mine.pop(id)) {
-      const double depth = static_cast<double>(mine.size());
-      pw.ready_depth_sum += depth;
+      pw.ready_depth_sum += static_cast<double>(mine.size());
       ++pw.pops;
-      obs::metrics::record(obs::metrics::Hist::ReadyDepth, depth);
       const TaskGraph::Node& node = graph_.nodes_[id];
       util::WallTimer timer;
       if (!cancelled_.load(std::memory_order_relaxed)) {
@@ -79,8 +76,6 @@ void GraphRunner::run_worker(int worker) {
       ss.max_seconds = std::max(ss.max_seconds, s);
       pw.base.busy_seconds += s;
       ++pw.base.executed;
-      obs::metrics::add(obs::metrics::Counter::ExecNodes, 1);
-      obs::metrics::record(obs::metrics::Hist::NodeSeconds, s);
       // Release successors.  The acq_rel RMW chain on the dependency count
       // makes every predecessor's writes visible to whichever worker pops
       // the successor.  push_front keeps the owner depth-first.
@@ -101,7 +96,6 @@ void GraphRunner::run_worker(int worker) {
           for (std::uint32_t t : loot) mine.push(t);
           ++pw.base.steal_batches;
           pw.base.stolen_tasks += loot.size();
-          obs::metrics::add(obs::metrics::Counter::ExecSteals, 1);
           stole = true;
         }
       }
@@ -208,8 +202,6 @@ std::shared_ptr<Executor::Batch> Executor::dispatch(
       threads_.emplace_back([this, s] { worker_main(s); });
       chosen.push_back(s);
     }
-    obs::metrics::set(obs::metrics::Gauge::ExecPoolWorkers,
-                      static_cast<double>(slots_.size()));
     for (int i = 0; i < n; ++i) {
       Slot* slot = slots_[chosen[static_cast<std::size_t>(i)]].get();
       slot->busy = true;

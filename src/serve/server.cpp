@@ -93,7 +93,13 @@ struct Server::Impl {
 
   mutable std::mutex stats_mu;
   ServerStats stats;
-  std::vector<double> ok_latencies_s;  ///< one entry per Ok response
+  /// Latencies of the most recent kLatencyWindow Ok responses: a ring,
+  /// overwritten from ok_latency_next once full, so a long-lived daemon's
+  /// footprint and latency_quantile()'s sort stay bounded.  Far above the
+  /// few hundred requests one bench process serves.
+  static constexpr std::size_t kLatencyWindow = 4096;
+  std::vector<double> ok_latencies_s;
+  std::size_t ok_latency_next = 0;
 
   /// Batcher-thread-only cache: one HubbardModel per batch key, so repeated
   /// batches of the same shape skip the matrix-exponential setup.  LRU at
@@ -571,7 +577,11 @@ void Server::Impl::run_batch(std::vector<PendingRequest>&& batch) {
       {
         std::lock_guard<std::mutex> lock(stats_mu);
         ++stats.served_ok;
-        ok_latencies_s.push_back(latency_s);
+        if (ok_latencies_s.size() < kLatencyWindow)
+          ok_latencies_s.push_back(latency_s);
+        else
+          ok_latencies_s[ok_latency_next] = latency_s;
+        ok_latency_next = (ok_latency_next + 1) % kLatencyWindow;
       }
     }
     p.respond(std::move(r));

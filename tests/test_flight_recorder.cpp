@@ -1,9 +1,9 @@
 /// Tests for the crash flight recorder: ring recording and wrap semantics,
 /// span integration with FSI_TRACE off, dump writing (parsed back with the
-/// shared JSON checker), and the full end-to-end crash flow — the
+/// shared JSON reader), and the full end-to-end crash flow — the
 /// deliberately-crashing helper dies of SIGSEGV, its handler writes
 /// crash-<pid>.fsi.json, and fsi_postmortem renders the dump into a summary
-/// plus a chrome://tracing timeline.
+/// plus a chrome://tracing timeline in obs::chrome_trace_json's shape.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -15,14 +15,17 @@
 #include <vector>
 
 #include "fsi/obs/flight.hpp"
+#include "fsi/obs/json.hpp"
+#include "fsi/obs/json_reader.hpp"
 #include "fsi/obs/metrics.hpp"
 #include "fsi/obs/trace.hpp"
-#include "json_checker.hpp"
 
 namespace {
 
 namespace fl = fsi::obs::flight;
 namespace fs = std::filesystem;
+using fsi::obs::Json;
+using fsi::obs::read_text_file;
 
 struct FlightFixture : ::testing::Test {
   void SetUp() override {
@@ -35,20 +38,9 @@ struct FlightFixture : ::testing::Test {
   }
 };
 
-std::string slurp(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return "";
-  std::string out;
-  char buf[1 << 14];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return out;
-}
-
-bool any_record_named(const std::vector<std::pair<int, fl::Record>>& snap,
+bool any_record_named(const std::vector<fsi::obs::TraceEvent>& snap,
                       const char* name) {
-  for (const auto& [tid, rec] : snap)
+  for (const fsi::obs::TraceEvent& rec : snap)
     if (std::string(rec.name) == name) return true;
   return false;
 }
@@ -58,12 +50,12 @@ TEST_F(FlightFixture, RecordedSpansAppearInSnapshot) {
   fl::record("flight.test_b", 200, 25, 0, 1);
   const auto snap = fl::snapshot();
   ASSERT_EQ(snap.size(), 2u);
-  EXPECT_STREQ(snap[0].second.name, "flight.test_a");
-  EXPECT_EQ(snap[0].second.t0_ns, 100);
-  EXPECT_EQ(snap[0].second.dur_ns, 50);
-  EXPECT_EQ(snap[0].second.trace_id, 42u);
-  EXPECT_STREQ(snap[1].second.name, "flight.test_b");
-  EXPECT_EQ(snap[1].second.omp_tid, 1);
+  EXPECT_STREQ(snap[0].name, "flight.test_a");
+  EXPECT_EQ(snap[0].t0_ns, 100);
+  EXPECT_EQ(snap[0].dur_ns, 50);
+  EXPECT_EQ(snap[0].trace_id, 42u);
+  EXPECT_STREQ(snap[1].name, "flight.test_b");
+  EXPECT_EQ(snap[1].omp_tid, 1);
 }
 
 TEST_F(FlightFixture, RingWrapsKeepingTheMostRecentRecords) {
@@ -74,7 +66,7 @@ TEST_F(FlightFixture, RingWrapsKeepingTheMostRecentRecords) {
   EXPECT_EQ(snap.size(), static_cast<std::size_t>(fl::kRingCapacity));
   EXPECT_TRUE(any_record_named(snap, "flight.newest"));
   // Oldest surviving record is push #10 — wraps dropped exactly the front.
-  EXPECT_EQ(snap.front().second.t0_ns, 10);
+  EXPECT_EQ(snap.front().t0_ns, 10);
   EXPECT_GE(fl::recorded(), static_cast<std::uint64_t>(pushes));
 }
 
@@ -97,15 +89,16 @@ TEST_F(FlightFixture, WriteDumpProducesAParseableDocument) {
   const std::string path = ::testing::TempDir() + "fsi_flight_dump.json";
   ASSERT_TRUE(fl::write_dump("TEST", path.c_str()));
 
-  const std::string doc = slurp(path);
+  const std::string doc = read_text_file(path);
   std::remove(path.c_str());
   ASSERT_FALSE(doc.empty());
   // Trailing newline, then a parseable object with the expected sections.
   ASSERT_EQ(doc.back(), '\n');
-  fsi::testing::JsonChecker checker(doc.substr(0, doc.size() - 1));
-  ASSERT_TRUE(checker.parse()) << doc;
-  EXPECT_EQ(checker.strings_for("signal").count("TEST"), 1u);
-  EXPECT_EQ(checker.strings_for("name").count("flight.dumped"), 1u);
+  Json parsed;
+  ASSERT_TRUE(fsi::obs::parse_json(doc.substr(0, doc.size() - 1), &parsed))
+      << doc;
+  EXPECT_EQ(parsed.str_or("signal", ""), "TEST");
+  EXPECT_EQ(parsed.values_for("name").count("flight.dumped"), 1u);
   EXPECT_NE(doc.find("\"fsi_crash_dump\":1"), std::string::npos);
   EXPECT_NE(doc.find("\"build\""), std::string::npos);
   EXPECT_NE(doc.find("\"counters\""), std::string::npos);
@@ -142,13 +135,19 @@ TEST(CrashFlow, SegvProducesDumpAndPostmortemRendersIt) {
   }
   ASSERT_FALSE(dump.empty()) << "no crash dump written in " << dir;
 
-  const std::string doc = slurp(dump);
+  const std::string doc = read_text_file(dump);
   ASSERT_FALSE(doc.empty());
-  fsi::testing::JsonChecker checker(doc.substr(0, doc.size() - 1));
-  ASSERT_TRUE(checker.parse()) << doc;
-  EXPECT_EQ(checker.strings_for("signal").count("SIGSEGV"), 1u);
-  EXPECT_EQ(checker.strings_for("name").count("helper.compute"), 1u);
-  EXPECT_EQ(checker.strings_for("name").count("helper.final_span"), 1u);
+  Json crash;
+  ASSERT_TRUE(fsi::obs::parse_json(doc.substr(0, doc.size() - 1), &crash))
+      << doc;
+  EXPECT_EQ(crash.str_or("signal", ""), "SIGSEGV");
+  EXPECT_EQ(crash.values_for("name").count("helper.compute"), 1u);
+  EXPECT_EQ(crash.values_for("name").count("helper.final_span"), 1u);
+  const Json* rings = crash.find("rings");
+  ASSERT_NE(rings, nullptr);
+  std::size_t records = 0;
+  for (const Json& ring : rings->arr)
+    records += ring.find("records")->arr.size();
 
   // fsi_postmortem renders the dump and writes a valid trace timeline.
   const std::string trace = dir + "final.trace.json";
@@ -157,19 +156,36 @@ TEST(CrashFlow, SegvProducesDumpAndPostmortemRendersIt) {
                              "pm.out 2>&1";
   const int pm_rc = std::system(pm_cmd.c_str());
   ASSERT_TRUE(WIFEXITED(pm_rc) && WEXITSTATUS(pm_rc) == 0)
-      << slurp(dir + "pm.out");
+      << read_text_file(dir + "pm.out");
 
-  const std::string summary = slurp(dir + "pm.out");
+  const std::string summary = read_text_file(dir + "pm.out");
   EXPECT_NE(summary.find("SIGSEGV"), std::string::npos) << summary;
   EXPECT_NE(summary.find("helper.final_span"), std::string::npos) << summary;
 
-  const std::string timeline = slurp(trace);
+  const std::string timeline = read_text_file(trace);
   ASSERT_FALSE(timeline.empty());
-  fsi::testing::JsonChecker trace_checker(timeline);
-  ASSERT_TRUE(trace_checker.parse()) << timeline;
-  EXPECT_NE(timeline.find("\"traceEvents\""), std::string::npos);
-  EXPECT_EQ(trace_checker.strings_for("ph").count("X"), 1u);
-  EXPECT_EQ(trace_checker.strings_for("name").count("helper.final_span"), 1u);
+  Json trace_doc;
+  ASSERT_TRUE(fsi::obs::parse_json(timeline, &trace_doc)) << timeline;
+  EXPECT_EQ(trace_doc.values_for("name").count("helper.final_span"), 1u);
+  // The live trace export's shape: every ring record becomes one "X" event
+  // with obs::chrome_trace_json's keys in its order, under the dump's pid.
+  EXPECT_EQ(trace_doc.str_or("displayTimeUnit", ""), "ms");
+  const Json* events = trace_doc.find("traceEvents");
+  ASSERT_TRUE(events != nullptr && events->kind == Json::Kind::Arr);
+  EXPECT_EQ(events->arr.size(), records);
+  const std::vector<std::string> keys = {"name", "cat", "ph",  "ts",
+                                         "dur",  "pid", "tid", "args"};
+  for (const Json& e : events->arr) {
+    std::vector<std::string> got;
+    for (const auto& kv : e.obj) got.push_back(kv.first);
+    EXPECT_EQ(got, keys);
+    EXPECT_EQ(e.str_or("cat", ""), "fsi");
+    EXPECT_EQ(e.str_or("ph", ""), "X");
+    EXPECT_EQ(e.i64_or("pid", -1), crash.i64_or("pid", 0));
+    const Json* args = e.find("args");
+    ASSERT_NE(args, nullptr);
+    EXPECT_NE(args->find("omp_tid"), nullptr);
+  }
 
   // A non-dump input is rejected with a nonzero exit.
   const int bad_rc = std::system(

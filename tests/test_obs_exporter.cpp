@@ -2,22 +2,27 @@
 /// grammar checker, specific series carry the registry's values, histogram
 /// buckets are cumulative with monotone le bounds, the build-info line is
 /// present, and textfile mode writes atomically.  The checker itself gets
-/// negative coverage so a green run means it can actually fail.
+/// negative coverage so a green run means it can actually fail, and so
+/// does its command-line front end, fsi_check_openmetrics.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 
 #include "fsi/obs/build.hpp"
 #include "fsi/obs/exporter.hpp"
+#include "fsi/obs/json.hpp"
 #include "fsi/obs/metrics.hpp"
-#include "openmetrics_checker.hpp"
+#include "fsi/obs/openmetrics_check.hpp"
 
 namespace {
 
 namespace m = fsi::obs::metrics;
-using fsi::testing::OpenMetricsChecker;
+using fsi::obs::OpenMetricsChecker;
 
 struct ExporterFixture : ::testing::Test {
   void SetUp() override {
@@ -96,21 +101,13 @@ TEST_F(ExporterFixture, TextfileModeWritesAValidDocumentAtomically) {
       ::testing::TempDir() + "fsi_exporter_textfile.om";
   ASSERT_TRUE(fsi::obs::write_openmetrics(path));
 
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::string doc;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) doc.append(buf, n);
-  std::fclose(f);
+  const std::string doc = fsi::obs::read_text_file(path);
   std::remove(path.c_str());
 
   OpenMetricsChecker checker;
   EXPECT_TRUE(checker.check(doc)) << checker.error();
   // The .tmp staging file must not survive a successful write.
-  std::FILE* tmp = std::fopen((path + ".tmp").c_str(), "rb");
-  EXPECT_EQ(tmp, nullptr);
-  if (tmp != nullptr) std::fclose(tmp);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 }
 
 TEST_F(ExporterFixture, WriteToUnwritablePathReportsFailure) {
@@ -161,5 +158,35 @@ TEST(OpenMetricsCheckerSelfTest, AcceptsMinimalValidDocument) {
       << c.error();
   EXPECT_EQ(c.value_of("a_total"), 1.0);
 }
+
+#if defined(FSI_CHECK_OPENMETRICS)
+
+/// The shell-pipeline front end: exit 0 on a valid exposition (file or
+/// stdin), 1 on a grammar violation, a missing --require family or an
+/// unreadable file, 2 on a usage error.
+TEST_F(ExporterFixture, CheckToolExitCodes) {
+  const std::string dir = ::testing::TempDir();
+  const std::string good = dir + "fsi_check_good.om";
+  const std::string bad = dir + "fsi_check_bad.om";
+  ASSERT_TRUE(fsi::obs::write_openmetrics(good));
+  ASSERT_TRUE(fsi::obs::write_text_file(
+      bad, "# HELP a b\n# TYPE a counter\na 1\n# EOF\n"));
+  const auto run = [](const std::string& args) {
+    const int rc = std::system((std::string(FSI_CHECK_OPENMETRICS) + " " +
+                                args + " > /dev/null 2>&1")
+                                   .c_str());
+    return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+  };
+  EXPECT_EQ(run(good + " --require fsi_build --require fsi_flops"), 0);
+  EXPECT_EQ(run("< " + good), 0);
+  EXPECT_EQ(run(bad), 1);
+  EXPECT_EQ(run(good + " --require fsi_no_such_family"), 1);
+  EXPECT_EQ(run(dir + "fsi_check_missing.om"), 1);
+  EXPECT_EQ(run("--bogus"), 2);
+  std::remove(good.c_str());
+  std::remove(bad.c_str());
+}
+
+#endif  // FSI_CHECK_OPENMETRICS
 
 }  // namespace

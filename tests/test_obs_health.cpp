@@ -13,19 +13,17 @@
 
 #include "fsi/obs/env.hpp"
 #include "fsi/obs/health.hpp"
+#include "fsi/obs/json_reader.hpp"
 #include "fsi/obs/metrics.hpp"
 #include "fsi/obs/telemetry.hpp"
 #include "fsi/qmc/greens.hpp"
 #include "fsi/qmc/multi_gf.hpp"
 #include "fsi/selinv/fsi.hpp"
 
-#include "json_checker.hpp"
-
 namespace {
 
 using namespace fsi;
 using dense::index_t;
-using fsi::testing::JsonChecker;
 namespace health = obs::health;
 namespace metrics = obs::metrics;
 
@@ -291,14 +289,14 @@ TEST_F(ObsHealth, HealthJsonMatchesSchema) {
   health::record_cond1(1e4);
   health::record_residual(1e-13);
 
-  JsonChecker doc(health::report().json());
-  ASSERT_TRUE(doc.parse());
-  EXPECT_EQ(doc.strings_for("schema").count(health::kHealthSchema), 1u);
-  const std::set<std::string>& names = doc.strings_for("name");
+  obs::Json doc;
+  ASSERT_TRUE(obs::parse_json(health::report().json(), &doc));
+  EXPECT_EQ(doc.values_for("schema").count(health::kHealthSchema), 1u);
+  const std::set<std::string> names = doc.values_for("name");
   for (const char* check : {"wrap_drift", "cond1_reduced", "sel_residual",
                             "nonfinite", "fp_flags"})
     EXPECT_EQ(names.count(check), 1u) << check;
-  EXPECT_EQ(doc.strings_for("overall").count("OK"), 1u);
+  EXPECT_EQ(doc.values_for("overall").count("OK"), 1u);
 }
 
 TEST_F(ObsHealth, BenchTelemetryJsonMatchesSchema) {
@@ -308,15 +306,15 @@ TEST_F(ObsHealth, BenchTelemetryJsonMatchesSchema) {
   t.add_metric("speed", 12.5, "gflops", /*gate=*/true);
   t.add_metric("resid", 1e-12, "rel_err", false, /*higher_is_better=*/false);
 
-  JsonChecker doc(t.json());
-  ASSERT_TRUE(doc.parse());
-  EXPECT_EQ(doc.strings_for("schema").count(obs::kBenchSchema), 1u);
-  EXPECT_EQ(doc.strings_for("bench").count("unit_test"), 1u);
-  const std::set<std::string>& keys = doc.strings_for("key");
+  obs::Json doc;
+  ASSERT_TRUE(obs::parse_json(t.json(), &doc));
+  EXPECT_EQ(doc.values_for("schema").count(obs::kBenchSchema), 1u);
+  EXPECT_EQ(doc.values_for("bench").count("unit_test"), 1u);
+  const std::set<std::string> keys = doc.values_for("key");
   EXPECT_EQ(keys.count("speed"), 1u);
   EXPECT_EQ(keys.count("resid"), 1u);
   // The embedded health report rides along under the same document.
-  EXPECT_EQ(doc.strings_for("schema").count(health::kHealthSchema), 1u);
+  EXPECT_EQ(doc.values_for("schema").count(health::kHealthSchema), 1u);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 /// Tests for obs::log: level parsing and gating, logfmt and jsonl record
-/// shape (the jsonl side validated with the shared JSON checker), field
+/// shape (the jsonl side validated with the shared JSON reader), field
 /// rendering and escaping, per-site rate limiting with suppressed-count
 /// drainage, and trace-id correlation.
 
@@ -8,9 +8,10 @@
 #include <cstdio>
 #include <string>
 
+#include "fsi/obs/json.hpp"
+#include "fsi/obs/json_reader.hpp"
 #include "fsi/obs/log.hpp"
 #include "fsi/obs/trace.hpp"
-#include "json_checker.hpp"
 
 namespace {
 
@@ -113,19 +114,22 @@ TEST_F(LogFixture, JsonlRecordsParse) {
   const std::string out = captured();
   ASSERT_FALSE(out.empty());
   EXPECT_EQ(out.back(), '\n');
-  fsi::testing::JsonChecker checker(out.substr(0, out.size() - 1));
-  ASSERT_TRUE(checker.parse()) << out;
-  EXPECT_EQ(checker.strings_for("level").count("error"), 1u);
-  EXPECT_EQ(checker.strings_for("event").count("serve.fatal"), 1u);
-  EXPECT_EQ(checker.numbers_for("attempt").count("3"), 1u);
+  fsi::obs::Json doc;
+  ASSERT_TRUE(fsi::obs::parse_json(out.substr(0, out.size() - 1), &doc))
+      << out;
+  EXPECT_EQ(doc.str_or("level", ""), "error");
+  EXPECT_EQ(doc.str_or("event", ""), "serve.fatal");
+  EXPECT_EQ(doc.str_or("reason", ""), "bind: \"addr\" in use\n");
+  EXPECT_EQ(doc.i64_or("attempt", 0), 3);
 }
 
 TEST_F(LogFixture, NonFiniteDoublesStayParseableInJson) {
   lg::set_format(lg::Format::Jsonl);
   FSI_LOG_INFO("test.nonfinite", {"x", 1.0 / 0.0}, {"y", 0.0 / 0.0});
   const std::string out = captured();
-  fsi::testing::JsonChecker checker(out.substr(0, out.size() - 1));
-  EXPECT_TRUE(checker.parse()) << out;
+  fsi::obs::Json doc;
+  EXPECT_TRUE(fsi::obs::parse_json(out.substr(0, out.size() - 1), &doc))
+      << out;
 }
 
 TEST_F(LogFixture, TraceIdTagsEveryLineWhileActive) {
@@ -189,13 +193,9 @@ TEST_F(LogFixture, SetFileAppendsAndFallsBackToStderr) {
   FSI_LOG_INFO("test.to_file", {"k", "v"});
   lg::set_stream(sink_);  // closes the owned file, back to the tmpfile
 
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  char buf[512] = {};
-  std::fread(buf, 1, sizeof buf - 1, f);
-  std::fclose(f);
+  const std::string logged = fsi::obs::read_text_file(path);
   std::remove(path.c_str());
-  EXPECT_NE(std::string(buf).find("test.to_file"), std::string::npos);
+  EXPECT_NE(logged.find("test.to_file"), std::string::npos) << logged;
 
   EXPECT_FALSE(lg::set_file("/nonexistent-dir/x/y.log"));
 }

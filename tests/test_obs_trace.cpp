@@ -1,7 +1,8 @@
 /// Tests for the fsi::obs subsystem: span recording and nesting, thread
-/// attribution, counter merge across threads, disabled-mode no-op, and a
+/// attribution, counter merge across threads, disabled-mode no-op, a
 /// schema validation of the exported chrome://tracing JSON for a real FSI
-/// run (it must parse and contain the CLS/BSOFI/WRP stage spans).
+/// run (it must parse and contain the CLS/BSOFI/WRP stage spans), and the
+/// shared JSON string writer read back by the shared reader.
 
 #include <gtest/gtest.h>
 
@@ -14,18 +15,24 @@
 #include <thread>
 #include <vector>
 
+#include "fsi/obs/json.hpp"
+#include "fsi/obs/json_reader.hpp"
 #include "fsi/obs/metrics.hpp"
 #include "fsi/obs/report.hpp"
 #include "fsi/obs/trace.hpp"
 #include "fsi/selinv/fsi.hpp"
 #include "fsi/util/flops.hpp"
 
-#include "json_checker.hpp"
-
 namespace {
 
 using namespace fsi;
-using fsi::testing::JsonChecker;
+
+/// Parse \p text with the shared reader; the test fails on a syntax error.
+obs::Json parsed(const std::string& text) {
+  obs::Json doc;
+  EXPECT_TRUE(obs::parse_json(text, &doc)) << text;
+  return doc;
+}
 
 /// RAII: enable tracing on a clean slate, restore disabled + clean on exit.
 struct TraceSession {
@@ -49,8 +56,7 @@ TEST(ObsTrace, DisabledModeRecordsNothing) {
   EXPECT_TRUE(obs::summary().empty());
   EXPECT_EQ(obs::total_seconds("noop.outer"), 0.0);
   // The exported document is still valid JSON, just with no events.
-  JsonChecker checker(obs::chrome_trace_json());
-  EXPECT_TRUE(checker.parse());
+  parsed(obs::chrome_trace_json());
 }
 
 TEST(ObsTrace, SpanNestingAndSummary) {
@@ -93,9 +99,7 @@ TEST(ObsTrace, ThreadAttribution) {
 
   // Each std::thread records under its own tid in the chrome export.
   const std::string json = obs::chrome_trace_json();
-  JsonChecker checker(json);
-  ASSERT_TRUE(checker.parse()) << json;
-  EXPECT_EQ(checker.numbers_for("tid").size(), 4u);
+  EXPECT_EQ(parsed(json).values_for("tid").size(), 4u);
 }
 
 TEST(ObsTrace, ExitedThreadsHandTheirBuffersOn) {
@@ -119,9 +123,7 @@ TEST(ObsTrace, ExitedThreadsHandTheirBuffersOn) {
   EXPECT_EQ(stats[0].name, "churn.worker");
   EXPECT_EQ(stats[0].count, static_cast<std::uint64_t>(kThreads));
   // Every thread keeps its own chrome tid, buffer reuse or not.
-  JsonChecker checker(obs::chrome_trace_json());
-  ASSERT_TRUE(checker.parse());
-  EXPECT_EQ(checker.numbers_for("tid").size(),
+  EXPECT_EQ(parsed(obs::chrome_trace_json()).values_for("tid").size(),
             static_cast<std::size_t>(kThreads));
 }
 
@@ -153,8 +155,7 @@ TEST(ObsTrace, TraceIdTagsExportedEvents) {
   obs::record_interval("tagged.op", 1000, 2000, /*trace_id=*/48879);
   obs::record_interval("plain.op", 3000, 4000);
   const std::string json = obs::chrome_trace_json();
-  JsonChecker checker(json);
-  ASSERT_TRUE(checker.parse()) << json;
+  parsed(json);
   // The tagged event exports its correlation id in args; the untagged one
   // stays clean (exactly one trace_id key in the document).
   EXPECT_NE(json.find("\"trace_id\":48879"), std::string::npos) << json;
@@ -184,12 +185,11 @@ TEST(ObsTrace, ExportedFsiTraceIsValidAndContainsStageSpans) {
   (void)selinv::fsi(m, ops, opts, rng, &stats);
 
   const std::string json = obs::chrome_trace_json();
-  JsonChecker checker(json);
-  ASSERT_TRUE(checker.parse()) << json;
+  const obs::Json doc = parsed(json);
 
   // Schema: the CLS/BSOFI/WRP stage spans and their per-iteration children
   // must be present by name.
-  const auto& names = checker.strings_for("name");
+  const std::set<std::string> names = doc.values_for("name");
   EXPECT_TRUE(names.count("fsi.cls")) << json;
   EXPECT_TRUE(names.count("fsi.bsofi")) << json;
   EXPECT_TRUE(names.count("fsi.wrap")) << json;
@@ -197,7 +197,7 @@ TEST(ObsTrace, ExportedFsiTraceIsValidAndContainsStageSpans) {
   EXPECT_TRUE(names.count("wrp.panel"));
   EXPECT_TRUE(names.count("bsofi.factor"));
   // Chrome requires ph/ts/dur on complete events; all ours are "X".
-  EXPECT_TRUE(checker.strings_for("ph").count("X"));
+  EXPECT_TRUE(doc.values_for("ph").count("X"));
 
   // The span-derived stage time matches the FsiStats measurement.
   EXPECT_NEAR(obs::total_seconds("fsi.cls"), stats.seconds_cls,
@@ -211,8 +211,7 @@ TEST(ObsTrace, ExportedFsiTraceIsValidAndContainsStageSpans) {
   EXPECT_EQ(report.rows()[0].name, "CLS");
   EXPECT_DOUBLE_EQ(report.rows()[0].predicted_flops, cm.cls_flops());
   EXPECT_GT(report.total().measured_flops, 0.0);
-  JsonChecker report_checker(report.json());
-  EXPECT_TRUE(report_checker.parse()) << report.json();
+  parsed(report.json());
 }
 
 TEST(ObsTrace, TraceArtifactsRouteThroughArtifactDir) {
@@ -267,6 +266,27 @@ TEST(ObsTrace, ClearResetsEventsButNotCounters) {
   obs::clear();
   EXPECT_TRUE(obs::summary().empty());
   EXPECT_EQ(m::total(m::Counter::KernelCalls), 5u);
+}
+
+TEST(ObsJson, WriterEscapesAndReaderDecodes) {
+  const std::string nasty = "q\"b\\s\nt\tc\x01z";
+  const std::string literal = obs::json_string(nasty);
+  EXPECT_EQ(literal, "\"q\\\"b\\\\s\\nt\\tc\\u0001z\"");
+  obs::Json doc;
+  ASSERT_TRUE(obs::parse_json("{\"k\":" + literal + "}", &doc)) << literal;
+  EXPECT_EQ(doc.str_or("k", ""), nasty);
+}
+
+TEST(ObsJson, ChromeTraceOfPlainRecordsParses) {
+  const std::vector<obs::TraceEvent> events = {
+      {"odd\"name", 1000, 2000, 7, 3, 1}, {"plain", 5000, 10, 0, 4, 0}};
+  const obs::Json doc = parsed(obs::chrome_trace_json(events, 42));
+  EXPECT_EQ(doc.values_for("name"),
+            (std::set<std::string>{"odd\"name", "plain"}));
+  EXPECT_EQ(doc.values_for("pid"), std::set<std::string>{"42"});
+  EXPECT_EQ(doc.values_for("tid"), (std::set<std::string>{"3", "4"}));
+  EXPECT_EQ(doc.values_for("trace_id"), std::set<std::string>{"7"});
+  EXPECT_EQ(doc.values_for("ts"), (std::set<std::string>{"1.000", "5.000"}));
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include "fsi/io/wire.hpp"
 #include "fsi/obs/build.hpp"
 #include "fsi/obs/metrics.hpp"
+#include "fsi/obs/openmetrics_check.hpp"
 #include "fsi/obs/trace.hpp"
 #include "fsi/serve/client.hpp"
 #include "fsi/serve/metrics_http.hpp"
@@ -35,7 +36,6 @@
 #include "fsi/serve/server.hpp"
 #include "fsi/serve/socket.hpp"
 #include "fsi/util/check.hpp"
-#include "openmetrics_checker.hpp"
 
 namespace {
 
@@ -1221,6 +1221,35 @@ TEST(ServeServer, MetricsCountOutcomes) {
   EXPECT_GT(m::hist(m::Hist::ServeBatchOccupancy).count, 0u);
 }
 
+TEST(ServeServer, LatencyQuantilesCoverOnlyTheMostRecentResponses) {
+  // The server keeps the latencies of its most recent 4096 Ok responses.
+  constexpr int kWindow = 4096;
+  constexpr double kSlowS = 0.3;
+  GateEngine gate;
+  Server server(stub_options(test_socket_path("latency_ring"), gate));
+  server.start();
+  Client client(server.endpoint());
+
+  // One slow response: the engine holds its batch for kSlowS.
+  gate.hold();
+  auto slow = client.submit(tiny_request(1));
+  ASSERT_TRUE(gate.wait_started(1));
+  std::this_thread::sleep_for(std::chrono::duration<double>(kSlowS));
+  gate.release();
+  ASSERT_EQ(slow.get().status, Status::Ok);
+  EXPECT_GE(server.latency_quantile(1.0), kSlowS);
+
+  // kWindow - 1 fast responses leave it in the window; one more evicts it.
+  for (int i = 2; i <= kWindow; ++i)
+    ASSERT_EQ(client.request(tiny_request(i)).status, Status::Ok);
+  EXPECT_GE(server.latency_quantile(1.0), kSlowS);
+  ASSERT_EQ(client.request(tiny_request(kWindow + 1)).status, Status::Ok);
+  EXPECT_LT(server.latency_quantile(1.0), kSlowS);
+
+  server.stop();
+  EXPECT_EQ(server.stats().served_ok, static_cast<std::uint64_t>(kWindow + 1));
+}
+
 // ---------------------------------------------------------------------------
 // Schema v2: trace propagation, timing breakdown, stats endpoint
 
@@ -1408,7 +1437,7 @@ TEST(ServeMetricsHttp, LiveScrapePassesTheGrammarChecker) {
   EXPECT_NE(resp.find("application/openmetrics-text"), std::string::npos);
   EXPECT_NE(resp.find("Connection: close"), std::string::npos);
 
-  fsi::testing::OpenMetricsChecker checker;
+  fsi::obs::OpenMetricsChecker checker;
   EXPECT_TRUE(checker.check(http_body(resp))) << checker.error();
   EXPECT_GE(checker.value_of("fsi_serve_requests_total"), 3.0);
   EXPECT_EQ(exporter.requests_served(), 1u);

@@ -12,7 +12,6 @@
 #include "fsi/util/flops.hpp"
 #include "fsi/util/rng.hpp"
 #include "fsi/util/table.hpp"
-#include "fsi/util/timer.hpp"
 
 namespace {
 
@@ -36,47 +35,6 @@ TEST(Flops, CountsSurviveThreadExit) {
     t.join();
   }
   EXPECT_GE(util::flops::total(), 7u);
-}
-
-TEST(StageTimer, NamedBucketsKeepInsertionOrder) {
-  util::StageTimer timer;
-  {
-    util::StageTimer::Guard g(timer, "cls");
-  }
-  {
-    util::StageTimer::Guard g(timer, "bsofi");
-  }
-  {
-    util::StageTimer::Guard g(timer, "cls");  // accumulates, no new bucket
-  }
-  ASSERT_EQ(timer.size(), 2u);
-  std::vector<std::string> names;
-  for (const auto& [name, s] : timer) {
-    names.push_back(name);
-    EXPECT_GE(s, 0.0);
-  }
-  EXPECT_EQ(names, (std::vector<std::string>{"cls", "bsofi"}));
-  EXPECT_GE(timer.seconds("cls"), 0.0);
-  EXPECT_EQ(timer.seconds("missing"), 0.0);
-}
-
-TEST(StageTimer, ResetZeroesValuesButKeepsNames) {
-  util::StageTimer timer;
-  timer.bucket("wrap") = 1.5;
-  timer.bucket("cls") = 0.5;
-  timer.reset();
-  ASSERT_EQ(timer.size(), 2u);
-  EXPECT_EQ(timer.seconds("wrap"), 0.0);
-  EXPECT_EQ(timer.seconds("cls"), 0.0);
-}
-
-TEST(StageTimer, BucketReferencesSurviveLaterInsertions) {
-  util::StageTimer timer;
-  double& first = timer.bucket("first");
-  // Creating many more buckets must not invalidate the earlier reference.
-  for (int i = 0; i < 100; ++i) timer.bucket("b" + std::to_string(i));
-  first += 2.0;
-  EXPECT_EQ(timer.seconds("first"), 2.0);
 }
 
 TEST(Rng, DeterministicPerSeed) {

@@ -19,7 +19,6 @@
 /// Exit status: 0 on a well-formed dump, 1 on a missing/invalid file.
 
 #include <algorithm>
-#include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -29,264 +28,10 @@
 #include <vector>
 
 #include "fsi/obs/build.hpp"
+#include "fsi/obs/json.hpp"
+#include "fsi/obs/json_reader.hpp"
+#include "fsi/obs/trace.hpp"
 #include "fsi/util/cli.hpp"
-
-namespace {
-
-// ---------------------------------------------------------------------------
-// Minimal JSON value parser.  The dump grammar is tiny (objects, arrays,
-// strings, integers) but this accepts full JSON so a hand-edited or
-// truncated-then-repaired dump still loads.  Kept local to the tool: the
-// library deliberately has no JSON *input* dependency.
-
-struct Json {
-  enum class Kind { Null, Bool, Num, Str, Arr, Obj };
-  Kind kind = Kind::Null;
-  bool b = false;
-  double num = 0.0;
-  std::string raw;  ///< number literal as written (exact u64 round-trip)
-  std::string str;
-  std::vector<Json> arr;
-  std::vector<std::pair<std::string, Json>> obj;
-
-  const Json* find(const char* key) const {
-    if (kind != Kind::Obj) return nullptr;
-    for (const auto& [k, v] : obj)
-      if (k == key) return &v;
-    return nullptr;
-  }
-  std::string str_or(const char* key, const char* fallback) const {
-    const Json* v = find(key);
-    return (v != nullptr && v->kind == Kind::Str) ? v->str : fallback;
-  }
-  double num_or(const char* key, double fallback) const {
-    const Json* v = find(key);
-    return (v != nullptr && v->kind == Kind::Num) ? v->num : fallback;
-  }
-  std::uint64_t u64_or(const char* key, std::uint64_t fallback) const {
-    const Json* v = find(key);
-    if (v == nullptr || v->kind != Kind::Num) return fallback;
-    return std::strtoull(v->raw.c_str(), nullptr, 10);
-  }
-  std::int64_t i64_or(const char* key, std::int64_t fallback) const {
-    const Json* v = find(key);
-    if (v == nullptr || v->kind != Kind::Num) return fallback;
-    return std::strtoll(v->raw.c_str(), nullptr, 10);
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string text) : s_(std::move(text)) {}
-
-  bool parse(Json* out) {
-    pos_ = 0;
-    if (!value(out)) return false;
-    ws();
-    return pos_ == s_.size();
-  }
-
- private:
-  void ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_])))
-      ++pos_;
-  }
-  bool lit(const char* t, Json* out, Json::Kind k, bool bval) {
-    const std::size_t n = std::strlen(t);
-    if (s_.compare(pos_, n, t) != 0) return false;
-    pos_ += n;
-    out->kind = k;
-    out->b = bval;
-    return true;
-  }
-  bool string(std::string* out) {
-    if (pos_ >= s_.size() || s_[pos_] != '"') return false;
-    ++pos_;
-    out->clear();
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= s_.size()) return false;
-        const char e = s_[pos_++];
-        switch (e) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case 'b': c = '\b'; break;
-          case 'f': c = '\f'; break;
-          case 'u':
-            if (pos_ + 4 > s_.size()) return false;
-            pos_ += 4;
-            c = '?';  // non-ASCII escapes are display-only here
-            break;
-          default: c = e; break;
-        }
-      }
-      *out += c;
-    }
-    if (pos_ >= s_.size()) return false;
-    ++pos_;
-    return true;
-  }
-  bool number(Json* out) {
-    const std::size_t start = pos_;
-    if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
-    bool digits = false;
-    auto eat = [&] {
-      while (pos_ < s_.size() &&
-             std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-        ++pos_;
-        digits = true;
-      }
-    };
-    eat();
-    if (pos_ < s_.size() && s_[pos_] == '.') ++pos_, eat();
-    if (!digits) return false;
-    if (pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+')) ++pos_;
-      const std::size_t before = pos_;
-      eat();
-      if (pos_ == before) return false;
-    }
-    out->kind = Json::Kind::Num;
-    out->raw = s_.substr(start, pos_ - start);
-    out->num = std::strtod(out->raw.c_str(), nullptr);
-    return true;
-  }
-  bool value(Json* out) {
-    ws();
-    if (pos_ >= s_.size()) return false;
-    const char c = s_[pos_];
-    if (c == '{') {
-      ++pos_;
-      out->kind = Json::Kind::Obj;
-      ws();
-      if (pos_ < s_.size() && s_[pos_] == '}') return ++pos_, true;
-      while (true) {
-        ws();
-        std::string key;
-        if (!string(&key)) return false;
-        ws();
-        if (pos_ >= s_.size() || s_[pos_++] != ':') return false;
-        Json v;
-        if (!value(&v)) return false;
-        out->obj.emplace_back(std::move(key), std::move(v));
-        ws();
-        if (pos_ >= s_.size()) return false;
-        if (s_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        return s_[pos_++] == '}';
-      }
-    }
-    if (c == '[') {
-      ++pos_;
-      out->kind = Json::Kind::Arr;
-      ws();
-      if (pos_ < s_.size() && s_[pos_] == ']') return ++pos_, true;
-      while (true) {
-        Json v;
-        if (!value(&v)) return false;
-        out->arr.push_back(std::move(v));
-        ws();
-        if (pos_ >= s_.size()) return false;
-        if (s_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        return s_[pos_++] == ']';
-      }
-    }
-    if (c == '"') {
-      out->kind = Json::Kind::Str;
-      return string(&out->str);
-    }
-    if (c == 't') return lit("true", out, Json::Kind::Bool, true);
-    if (c == 'f') return lit("false", out, Json::Kind::Bool, false);
-    if (c == 'n') return lit("null", out, Json::Kind::Null, false);
-    return number(out);
-  }
-
-  std::string s_;
-  std::size_t pos_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-
-struct FlatSpan {
-  std::int64_t tid;
-  std::string name;
-  std::int64_t t0_ns;
-  std::int64_t dur_ns;
-  std::uint64_t trace_id;
-  std::int64_t omp_tid;
-};
-
-std::string read_file(const char* path) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) return "";
-  std::string out;
-  char buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return out;
-}
-
-void json_escape(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-}
-
-/// Re-emit the ring records as chrome://tracing complete events, same shape
-/// as obs::chrome_trace_json() so the two artifacts look alike in a viewer.
-bool write_chrome_trace(const std::string& path,
-                        const std::vector<FlatSpan>& spans,
-                        std::int64_t pid) {
-  std::string out = "{\"traceEvents\":[";
-  char buf[256];
-  bool first = true;
-  for (const FlatSpan& s : spans) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"name\":\"";
-    json_escape(out, s.name);
-    std::snprintf(buf, sizeof buf,
-                  "\",\"cat\":\"fsi\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"
-                  "\"pid\":%lld,\"tid\":%lld,\"args\":{\"omp_tid\":%lld",
-                  static_cast<double>(s.t0_ns) * 1e-3,
-                  static_cast<double>(s.dur_ns) * 1e-3,
-                  static_cast<long long>(pid), static_cast<long long>(s.tid),
-                  static_cast<long long>(s.omp_tid));
-    out += buf;
-    if (s.trace_id != 0) {
-      std::snprintf(buf, sizeof buf, ",\"trace_id\":%llu",
-                    static_cast<unsigned long long>(s.trace_id));
-      out += buf;
-    }
-    out += "}}";
-  }
-  out += "],\"displayTimeUnit\":\"ms\"}";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(out.data(), 1, out.size(), f) == out.size();
-  return (std::fclose(f) == 0) && ok;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace fsi;
@@ -322,13 +67,14 @@ int main(int argc, char** argv) {
   const std::string trace_out = cli.get_string("trace", "");
   const int show = std::max(1, cli.get_int("records", 20));
 
-  const std::string text = read_file(path.c_str());
+  const std::string text = obs::read_text_file(path);
   if (text.empty()) {
     std::fprintf(stderr, "fsi_postmortem: cannot read %s\n", path.c_str());
     return 1;
   }
+  using obs::Json;
   Json doc;
-  if (!JsonParser(text).parse(&doc) || doc.kind != Json::Kind::Obj ||
+  if (!obs::parse_json(text, &doc) || doc.kind != Json::Kind::Obj ||
       doc.find("fsi_crash_dump") == nullptr) {
     std::fprintf(stderr, "fsi_postmortem: %s is not an fsi crash dump\n",
                  path.c_str());
@@ -365,8 +111,9 @@ int main(int argc, char** argv) {
   }
 
   // Flatten the rings; the flight recorder keeps the last kRingCapacity
-  // completed spans per thread, newest last within each ring.
-  std::vector<FlatSpan> spans;
+  // completed spans per thread, newest last within each ring.  Event names
+  // point into doc, which outlives every use below.
+  std::vector<obs::TraceEvent> spans;
   std::uint64_t pushed_total = 0;
   std::size_t ring_count = 0;
   if (const Json* rings = doc.find("rings");
@@ -376,12 +123,17 @@ int main(int argc, char** argv) {
       pushed_total += ring.u64_or("pushed", 0);
       const Json* recs = ring.find("records");
       if (recs == nullptr || recs->kind != Json::Kind::Arr) continue;
-      const std::int64_t tid = ring.i64_or("tid", -1);
-      for (const Json& r : recs->arr)
-        spans.push_back(FlatSpan{tid, r.str_or("name", "?"),
-                                 r.i64_or("t0_ns", 0), r.i64_or("dur_ns", 0),
-                                 r.u64_or("trace_id", 0),
-                                 r.i64_or("omp_tid", 0)});
+      const auto tid = static_cast<std::int32_t>(ring.i64_or("tid", -1));
+      for (const Json& r : recs->arr) {
+        const Json* name = r.find("name");
+        spans.push_back(
+            {name != nullptr && name->kind == Json::Kind::Str
+                 ? name->str.c_str()
+                 : "?",
+             r.i64_or("t0_ns", 0), r.i64_or("dur_ns", 0),
+             r.u64_or("trace_id", 0), tid,
+             static_cast<std::int32_t>(r.i64_or("omp_tid", 0))});
+      }
     }
   }
   std::printf("\nflight rings  %zu thread%s, %llu spans pushed, %zu retained\n",
@@ -390,17 +142,17 @@ int main(int argc, char** argv) {
 
   // The most recent spans (by end time) across all threads are the closest
   // thing to "what was it doing when it died".
-  std::vector<FlatSpan> recent = spans;
+  std::vector<obs::TraceEvent> recent = spans;
   std::sort(recent.begin(), recent.end(),
-            [](const FlatSpan& a, const FlatSpan& b) {
+            [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
               return a.t0_ns + a.dur_ns > b.t0_ns + b.dur_ns;
             });
   if (recent.size() > static_cast<std::size_t>(show)) recent.resize(show);
   if (!recent.empty()) {
     std::printf("\nlast %zu spans (most recent first):\n", recent.size());
-    for (const FlatSpan& s : recent) {
-      std::printf("  [tid %2lld] %-24s end=%10.3f ms  dur=%9.3f ms",
-                  static_cast<long long>(s.tid), s.name.c_str(),
+    for (const obs::TraceEvent& s : recent) {
+      std::printf("  [tid %2d] %-24s end=%10.3f ms  dur=%9.3f ms", s.tid,
+                  s.name,
                   static_cast<double>(s.t0_ns + s.dur_ns) * 1e-6,
                   static_cast<double>(s.dur_ns) * 1e-6);
       if (s.trace_id != 0)
@@ -411,7 +163,7 @@ int main(int argc, char** argv) {
   }
 
   if (!trace_out.empty()) {
-    if (!write_chrome_trace(trace_out, spans, pid)) {
+    if (!obs::write_text_file(trace_out, obs::chrome_trace_json(spans, pid))) {
       std::fprintf(stderr, "fsi_postmortem: cannot write %s\n",
                    trace_out.c_str());
       return 1;

@@ -17,7 +17,6 @@
 set -euo pipefail
 
 build=${1:-build}
-tools_dir=$(dirname "$0")
 sock="unix:/tmp/fsi_serve_smoke_$$.sock"
 artifacts=$(mktemp -d)
 server_pid=""
@@ -84,7 +83,7 @@ with urllib.request.urlopen(
     assert ctype.startswith("application/openmetrics-text"), ctype
     sys.stdout.write(resp.read().decode("utf-8"))
 EOF
-python3 "$tools_dir"/check_openmetrics.py "$artifacts/metrics.txt" \
+"$build"/tools/fsi_check_openmetrics "$artifacts/metrics.txt" \
     --require fsi_build --require fsi_serve_requests \
     --require fsi_serve_latency_s --require fsi_mixed_runs \
     || { echo "serve_smoke: /metrics failed the grammar check"; exit 1; }
