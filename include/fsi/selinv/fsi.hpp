@@ -85,29 +85,26 @@ struct FsiStats {
   }
 };
 
-/// Stage 1 (CLS): factor-of-c block cyclic reduction.  Returns the reduced
-/// b-block p-cyclic matrix whose blocks are
-///   B~_{i} = B_{j0} B_{j0-1} ... B_{j0-c+1},  j0 = c(i+1) - q - 1 (0-based),
-/// cyclic in the block index.  Cluster products run in parallel (OpenMP).
-pcyclic::PCyclicMatrix cluster(const pcyclic::PCyclicMatrix& m, index_t c,
-                               index_t q, bool parallel = true);
-
 /// One cluster product B~_i — the body of one CLS loop iteration / graph
-/// node.  Pool-backed; safe to call concurrently for distinct \p i.
+/// node — computed at scalar \p T and returned as the fp64 block the
+/// reduced matrix stores.  T = float demotes each B block on the fly
+/// (O(N^2) against the O(cN^3) chain), multiplies the chain in fp32 and
+/// promotes the product on completion, so BSOFI consumes it unchanged.
+/// Pool-backed; safe to call concurrently for distinct \p i.  Instantiated
+/// for double (the default) and float.
+template <typename T = double>
 dense::Matrix cluster_product(const pcyclic::PCyclicMatrix& m, index_t c,
                               index_t q, index_t i);
 
-/// Mixed-precision twin of cluster_product: demotes each B block on the
-/// fly (O(N^2) against the O(cN^3) product) and multiplies the chain in
-/// fp32.  The caller promotes the product before BSOFI.
-dense::MatrixF cluster_product_f(const pcyclic::PCyclicMatrix& m, index_t c,
-                                 index_t q, index_t i);
-
-/// CLS with fp32 cluster products, each promoted to fp64 on completion —
-/// the reduced matrix feeds the (always-fp64) BSOFI stage unchanged.
-pcyclic::PCyclicMatrix cluster_mixed(const pcyclic::PCyclicMatrix& m,
-                                     index_t c, index_t q,
-                                     bool parallel = true);
+/// Stage 1 (CLS): factor-of-c block cyclic reduction.  Returns the fp64
+/// reduced b-block p-cyclic matrix whose blocks are
+///   B~_{i} = B_{j0} B_{j0-1} ... B_{j0-c+1},  j0 = c(i+1) - q - 1 (0-based),
+/// cyclic in the block index, each a cluster_product<T>.  Cluster products
+/// run in parallel (OpenMP).  Instantiated for double (the default) and
+/// float.
+template <typename T = double>
+pcyclic::PCyclicMatrix cluster(const pcyclic::PCyclicMatrix& m, index_t c,
+                               index_t q, bool parallel = true);
 
 /// One panel walk — the body of one WRP loop iteration / graph node.  Every
 /// pattern has b = sel.b() units.  Columns: unit k0 walks block row k0 of
@@ -183,25 +180,40 @@ pcyclic::SelectedInversion wrap(const pcyclic::BasicBlockOps<T>& ops,
 
 /// Acceptance thresholds of one mixed run.  A run falls back to fp64 when
 /// the probed residual exceeds resid_max, when the reduced matrix's cond1
-/// estimate exceeds cond_max, or when any fp32 stage produced non-finite
-/// values.  Defaults come from FSI_PRECISION_RESID_MAX (1e-3, matching the
-/// health layer's resid_fail) and FSI_PRECISION_COND_MAX (1e8: past that,
-/// fp32's ~7 significant digits are spent on conditioning alone).
+/// estimate exceeds cond_max, or when the reduced inverse holds non-finite
+/// values.  The defaults are the gate: resid_max 1e-3 matches the health
+/// layer's resid_fail, and past cond_max 1e8 fp32's ~7 significant digits
+/// are spent on conditioning alone.
 struct MixedGate {
   double resid_max = 1e-3;
   double cond_max = 1e8;
 };
 
-/// The process-wide gate (env-seeded once, then runtime-settable — tests
-/// force fallbacks by lowering resid_max to 0).
+/// The process-wide gate (the defaults above until set — tests force
+/// fallbacks by lowering resid_max or cond_max to 0).
 MixedGate mixed_gate() noexcept;
 void set_mixed_gate(const MixedGate& gate) noexcept;
 
+/// The verdict of mixed_gate() on one mixed run: nullptr when it passes,
+/// else "cond1" (\p cond1 above cond_max), "nonfinite" (\p gtilde holds an
+/// Inf or NaN) or "residual" (\p worst_residual above resid_max), checked
+/// in that order.  A NaN cond1 or residual trips.  A negative
+/// \p worst_residual means none was probed, so a caller can check cond1 and
+/// finiteness before it spends the walks.
+const char* mixed_gate_reason(double cond1, dense::ConstMatrixView gtilde,
+                              double worst_residual);
+
+/// A mixed run the gate sent back to fp64: counts Counter::MixedFallbacks
+/// and WARN-logs the reason with the gate, as "fsi.mixed_fallback" for a
+/// single call (\p task < 0) or "qmc.mixed_fallback" for batch task
+/// \p task.
+void count_mixed_fallback(const char* reason, index_t task = -1);
+
 /// Worst probed residual ||(M G_sel - I) block||_max over two rotating
-/// block probes — the same check residual_spot_check samples, exposed so
-/// the mixed gate can run it on every mixed run.  Returns -1 for patterns
-/// that store no adjacent blocks (no residual can be formed from stored
-/// data); the gate then relies on the cond1 bound alone.
+/// block probes — the check fsi_multi makes on sampled fp64 calls
+/// (obs::health::should_sample_residual) and on every mixed run.  Returns
+/// -1 for patterns that store no adjacent blocks (no residual can be formed
+/// from stored data); the gate then relies on the cond1 bound alone.
 double probe_residual(const pcyclic::PCyclicMatrix& m,
                       const pcyclic::SelectedInversion& out, Pattern pattern,
                       const pcyclic::Selection& sel);

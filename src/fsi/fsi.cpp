@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <memory>
+#include <string>
+#include <type_traits>
 
 #include "fsi/dense/blas.hpp"
 #include "fsi/dense/norms.hpp"
-#include "fsi/obs/env.hpp"
 #include "fsi/obs/health.hpp"
 #include "fsi/obs/log.hpp"
 #include "fsi/obs/metrics.hpp"
@@ -44,26 +46,61 @@ class StageMeter {
   util::flops::Scope flop_scope_;
 };
 
+/// Pool-backed fp64 copy of one block — what the reduced matrix and the
+/// SelectedInversion slots hold (fp32 blocks are promoted on the way).
+dense::Matrix stored(dense::ConstMatrixView src) {
+  return sched::acquire_copy(src);
+}
+dense::Matrix stored(dense::ConstMatrixViewF src) {
+  dense::Matrix out = sched::acquire(src.rows(), src.cols());
+  dense::promote(src, out.view());
+  return out;
+}
+
 }  // namespace
 
+template <typename T>
 dense::Matrix cluster_product(const PCyclicMatrix& m, index_t c, index_t q,
                               index_t i) {
   // Cluster i covers the c consecutive blocks ending at j0 = c(i+1)-q-1:
   //   B~_i = B[j0] B[j0-1] ... B[j0-c+1]  (indices cyclic).
-  FSI_OBS_SPAN("cls.cluster");
+  constexpr bool fp64 = std::is_same_v<T, double>;
+  FSI_OBS_SPAN(fp64 ? "cls.cluster" : "cls.cluster_f");
   const index_t n = m.block_size();
   const index_t j_lo = c * i - q;  // j0 - c + 1
-  dense::Matrix prod = sched::acquire_copy(m.b(m.wrap(j_lo)));
-  dense::Matrix next = sched::acquire(n, n);
+  // fp32 demotes every factor on the fly: each B block belongs to exactly
+  // one cluster, so nothing is demoted twice.
+  dense::BasicMatrix<T> demoted;
+  if constexpr (!fp64) demoted = sched::acquire_f(n, n);
+  auto factor = [&](index_t t) -> dense::BasicConstMatrixView<T> {
+    const dense::ConstMatrixView b = m.b(m.wrap(j_lo + t));
+    if constexpr (fp64) {
+      return b;
+    } else {
+      dense::demote(b, demoted.view());
+      return demoted;
+    }
+  };
+  dense::BasicMatrix<T> prod = sched::acquire_as<T>(n, n);
+  dense::copy(factor(0), prod.view());
+  dense::BasicMatrix<T> next = sched::acquire_as<T>(n, n);
   for (index_t t = 1; t < c; ++t) {
-    dense::gemm(dense::Trans::No, dense::Trans::No, 1.0, m.b(m.wrap(j_lo + t)),
-                prod, 0.0, next);
+    dense::gemm(dense::Trans::No, dense::Trans::No, T{1}, factor(t), prod,
+                T{0}, next);
     std::swap(prod, next);
   }
+  sched::recycle(std::move(demoted));
   sched::recycle(std::move(next));
-  return prod;
+  if constexpr (fp64) {
+    return prod;
+  } else {
+    dense::Matrix promoted = stored(prod);
+    sched::recycle(std::move(prod));
+    return promoted;
+  }
 }
 
+template <typename T>
 PCyclicMatrix cluster(const PCyclicMatrix& m, index_t c, index_t q,
                       bool parallel) {
   const index_t l = m.num_blocks();
@@ -77,80 +114,18 @@ PCyclicMatrix cluster(const PCyclicMatrix& m, index_t c, index_t q,
   // executed in embarrassingly parallel" (paper Sec. II-C).
 #pragma omp parallel for schedule(dynamic) if (parallel)
   for (index_t i = 0; i < b; ++i)
-    reduced.b_matrix(i) = cluster_product(m, c, q, i);
+    reduced.b_matrix(i) = cluster_product<T>(m, c, q, i);
   return reduced;
 }
 
-dense::MatrixF cluster_product_f(const PCyclicMatrix& m, index_t c, index_t q,
-                                 index_t i) {
-  // Same chain as cluster_product, with every factor demoted on the fly:
-  // each B block belongs to exactly one cluster, so nothing is demoted
-  // twice and the O(N^2) conversions vanish next to the O(cN^3) products.
-  FSI_OBS_SPAN("cls.cluster_f");
-  const index_t n = m.block_size();
-  const index_t j_lo = c * i - q;  // j0 - c + 1
-  dense::MatrixF prod = sched::acquire_f(n, n);
-  dense::demote(m.b(m.wrap(j_lo)), prod.view());
-  dense::MatrixF bf = sched::acquire_f(n, n);
-  dense::MatrixF next = sched::acquire_f(n, n);
-  for (index_t t = 1; t < c; ++t) {
-    dense::demote(m.b(m.wrap(j_lo + t)), bf.view());
-    dense::gemm(dense::Trans::No, dense::Trans::No, 1.0f, bf, prod, 0.0f,
-                next);
-    std::swap(prod, next);
-  }
-  sched::recycle(std::move(bf));
-  sched::recycle(std::move(next));
-  return prod;
-}
-
-PCyclicMatrix cluster_mixed(const PCyclicMatrix& m, index_t c, index_t q,
-                            bool parallel) {
-  const index_t l = m.num_blocks();
-  FSI_CHECK(c > 0 && l % c == 0, "cluster_mixed: c must divide L");
-  FSI_CHECK(q >= 0 && q < c, "cluster_mixed: q must be in [0, c)");
-  const index_t b = l / c;
-  const index_t n = m.block_size();
-
-  PCyclicMatrix reduced(n, b);
-#pragma omp parallel for schedule(dynamic) if (parallel)
-  for (index_t i = 0; i < b; ++i) {
-    dense::MatrixF prod = cluster_product_f(m, c, q, i);
-    dense::Matrix promoted = sched::acquire(n, n);
-    dense::promote(prod, promoted.view());
-    sched::recycle(std::move(prod));
-    reduced.b_matrix(i) = std::move(promoted);
-  }
-  return reduced;
-}
-
-namespace {
-
-/// Sampled health spot check: verify two stored blocks of a completed
-/// Columns/Rows wrap against the defining relation M G = G M = I.
-///
-/// The Columns pattern stores a *full* block column per selected index, so
-/// block row k of M applied to stored column `col` must give
-///   G(k, col) - B_k G(k-1, col)       = delta_{k,col} I   (k >= 1)
-///   G(0, col) + B_1 G(L-1, col)       = delta_{0,col} I   (corner block)
-/// and symmetrically via G M = I for the Rows pattern.  Two probed block
-/// rows cost ~4 N^3 flops against the ~3 b^2 c N^3 of the wrap itself
-/// (~0.1% at the paper's shape), further divided by the sampling period;
-/// probe positions rotate across calls so repeated sampling sweeps the
-/// whole selection.  Other patterns store no adjacent blocks, so no
-/// residual can be formed from stored data alone — they are skipped.
-void residual_spot_check(const PCyclicMatrix& m, const SelectedInversion& out,
-                         Pattern pattern, const Selection& sel) {
-  if (pattern != Pattern::Columns && pattern != Pattern::Rows) return;
-  if (!obs::health::should_sample_residual()) return;
-  util::WallTimer health_timer;
-  const double worst = probe_residual(m, out, pattern, sel);
-  obs::health::record_residual(worst);
-  obs::metrics::add_seconds(obs::metrics::Accum::HealthCheck,
-                            health_timer.seconds());
-}
-
-}  // namespace
+template dense::Matrix cluster_product<double>(const PCyclicMatrix&, index_t,
+                                               index_t, index_t);
+template dense::Matrix cluster_product<float>(const PCyclicMatrix&, index_t,
+                                              index_t, index_t);
+template PCyclicMatrix cluster<double>(const PCyclicMatrix&, index_t, index_t,
+                                       bool);
+template PCyclicMatrix cluster<float>(const PCyclicMatrix&, index_t, index_t,
+                                      bool);
 
 double probe_residual(const PCyclicMatrix& m, const SelectedInversion& out,
                       Pattern pattern, const Selection& sel) {
@@ -245,14 +220,10 @@ double reduced_cond1(const PCyclicMatrix& reduced,
 
 namespace {
 
-/// The process-wide gate cells, env-seeded on first touch.
+/// The process-wide gate cells, holding the MixedGate defaults until set.
 struct GateCells {
-  std::atomic<double> resid;
-  std::atomic<double> cond;
-  GateCells()
-      : resid(obs::env_double("FSI_PRECISION_RESID_MAX",
-                              MixedGate{}.resid_max)),
-        cond(obs::env_double("FSI_PRECISION_COND_MAX", MixedGate{}.cond_max)) {}
+  std::atomic<double> resid{MixedGate{}.resid_max};
+  std::atomic<double> cond{MixedGate{}.cond_max};
 };
 
 GateCells& gate_cells() noexcept {
@@ -274,20 +245,26 @@ void set_mixed_gate(const MixedGate& gate) noexcept {
   g.cond.store(gate.cond_max, std::memory_order_relaxed);
 }
 
-namespace {
-
-/// Pool-backed fp64 copy of one walk block — what the SelectedInversion
-/// slots hold (fp32 blocks are promoted on the way).
-dense::Matrix stored(dense::ConstMatrixView src) {
-  return sched::acquire_copy(src);
-}
-dense::Matrix stored(dense::ConstMatrixViewF src) {
-  dense::Matrix out = sched::acquire(src.rows(), src.cols());
-  dense::promote(src, out.view());
-  return out;
+const char* mixed_gate_reason(double cond1, dense::ConstMatrixView gtilde,
+                              double worst_residual) {
+  const MixedGate gate = mixed_gate();
+  if (!(cond1 <= gate.cond_max)) return "cond1";
+  if (!dense::all_finite(gtilde)) return "nonfinite";
+  if (!(worst_residual < 0.0 || worst_residual <= gate.resid_max))
+    return "residual";
+  return nullptr;
 }
 
-}  // namespace
+void count_mixed_fallback(const char* reason, index_t task) {
+  obs::metrics::add(obs::metrics::Counter::MixedFallbacks, 1);
+  const MixedGate gate = mixed_gate();
+  if (task < 0)
+    FSI_LOG_WARN("fsi.mixed_fallback", {"reason", reason},
+                 {"resid_max", gate.resid_max}, {"cond_max", gate.cond_max});
+  else
+    FSI_LOG_WARN("qmc.mixed_fallback", {"task", task}, {"reason", reason},
+                 {"resid_max", gate.resid_max}, {"cond_max", gate.cond_max});
+}
 
 template <typename T>
 void wrap_panel(const pcyclic::BasicBlockOps<T>& ops,
@@ -428,98 +405,70 @@ template SelectedInversion wrap<float>(const pcyclic::BlockOpsF&,
 
 namespace {
 
-/// One mixed-precision attempt: fp32 CLS (promoted per product), fp64
-/// BSOFI, fp32 WRP (promoted stores), then the health gate.  True when the
-/// gate accepted; false (results discarded by the caller) when the run must
-/// be redone in fp64.  Stage accounting goes into \p stats exactly like the
-/// fp64 path's.
-bool fsi_mixed_attempt(const PCyclicMatrix& m,
+/// The three stages of Alg. 1, appending one result per pattern to \p out:
+/// CLS at \p T, BSOFI in fp64, WRP at \p T (fp32 walks the demoted reduced
+/// inverse with a BlockOpsF built here; its demote+invert is wrap work, as
+/// the fp64 convenience overload attributes BlockOps).  Then the residual
+/// probes of the Rows/Columns results: sampled at fp64, on every mixed run
+/// (they are what licenses the fp32 result).  Returns the mixed gate's
+/// verdict — taken on cond1 and finiteness before any walk, and on the
+/// probes after them — or nullptr at fp64, which is not gated.
+template <typename T>
+const char* run_stages(const PCyclicMatrix& m, const pcyclic::BlockOps& ops,
                        const std::vector<Pattern>& patterns,
-                       const Selection& sel, bool coarse_parallel,
-                       std::vector<SelectedInversion>& results,
-                       FsiStats& stats) {
-  obs::metrics::add(obs::metrics::Counter::MixedRuns, 1);
-  const MixedGate gate = mixed_gate();
-
-  PCyclicMatrix reduced = [&] {  // Stage 1: CLS in fp32.
+                       const Selection& sel, bool parallel,
+                       std::vector<SelectedInversion>& out, FsiStats& stats) {
+  constexpr bool mixed = std::is_same_v<T, float>;
+  PCyclicMatrix reduced = [&] {
     StageMeter meter("fsi.cls", stats.seconds_cls, stats.flops_cls);
-    return cluster_mixed(m, sel.c, sel.q, coarse_parallel);
+    return cluster<T>(m, sel.c, sel.q, parallel);
   }();
-  dense::Matrix gtilde = [&] {  // Stage 2: BSOFI, always fp64.
+  dense::Matrix gtilde = [&] {
     StageMeter meter("fsi.bsofi", stats.seconds_bsofi, stats.flops_bsofi);
     return bsofi::invert(reduced);
   }();
-  // cond1 gate before any wrapping work: when the reduced matrix already
-  // eats most of fp32's ~7 digits, the walks cannot recover.  (The value
-  // also streams into Hist::Cond1Reduced via bsofi::invert.)
-  const double cond1 = reduced_cond1(reduced, gtilde);
+  // A reduced matrix that already eats most of fp32's ~7 digits cannot be
+  // recovered by the walks: gate it before any wrapping work.
+  const double cond1 = mixed ? reduced_cond1(reduced, gtilde) : 0.0;
   reduced.release_blocks();
-  if (!dense::all_finite(gtilde.view()) || !(cond1 <= gate.cond_max)) {
+  if (const char* reason =
+          mixed ? mixed_gate_reason(cond1, gtilde, -1.0) : nullptr) {
     sched::recycle(std::move(gtilde));
-    return false;
+    return reason;
   }
 
-  {  // Stage 3: WRP in fp32 (BlockOpsF demote+invert is wrap work, like
-     // the fp64 convenience overload attributes BlockOps).
+  out.reserve(patterns.size());
+  {
     StageMeter meter("fsi.wrap", stats.seconds_wrap, stats.flops_wrap);
-    const pcyclic::BlockOpsF opsf(m);
-    dense::MatrixF gtilde_f = sched::acquire_f(gtilde.rows(), gtilde.cols());
-    dense::demote(gtilde, gtilde_f.view());
-    results.reserve(patterns.size());
-    for (Pattern p : patterns)
-      results.push_back(wrap(opsf, gtilde_f, p, sel, coarse_parallel));
-    sched::recycle(std::move(gtilde_f));
+    if constexpr (mixed) {
+      const pcyclic::BlockOpsF ops_f(m);
+      dense::MatrixF gtilde_f = sched::acquire_f(gtilde.rows(), gtilde.cols());
+      dense::demote(gtilde, gtilde_f.view());
+      for (Pattern p : patterns)
+        out.push_back(wrap(ops_f, gtilde_f, p, sel, parallel));
+      sched::recycle(std::move(gtilde_f));
+    } else {
+      for (Pattern p : patterns)
+        out.push_back(wrap(ops, gtilde, p, sel, parallel));
+    }
   }
-  sched::recycle(std::move(gtilde));
 
-  // Residual gate: probe every checkable pattern (unconditionally — mixed
-  // runs always pay the ~4 N^3 probe; it is what licenses the fp32 result).
-  util::WallTimer health_timer;
-  bool ok = true;
+  double worst = -1.0;
   for (std::size_t i = 0; i < patterns.size(); ++i) {
-    const double r = probe_residual(m, results[i], patterns[i], sel);
-    if (r < 0.0) continue;  // pattern stores no adjacent blocks
+    if (patterns[i] != Pattern::Columns && patterns[i] != Pattern::Rows)
+      continue;
+    if (!mixed && !obs::health::should_sample_residual()) continue;
+    util::WallTimer health_timer;
+    const double r = probe_residual(m, out[i], patterns[i], sel);
     obs::health::record_residual(r);
-    if (!(r <= gate.resid_max)) ok = false;  // catches NaN too
+    obs::metrics::add_seconds(obs::metrics::Accum::HealthCheck,
+                              health_timer.seconds());
+    worst = std::isnan(r) ? r : std::max(worst, r);
   }
-  obs::metrics::add_seconds(obs::metrics::Accum::HealthCheck,
-                            health_timer.seconds());
-  return ok;
-}
-
-/// Mixed driver of fsi_multi(): try fp32, fall back to
-/// fp64 (counted + WARN-logged) when the gate trips or the fp32 inversion
-/// dies on a singular block.  True = \p results holds the accepted mixed
-/// run; false = caller must run the fp64 path (with \p stats freshly
-/// zeroed here, mixed_fallback flagged).
-bool fsi_mixed_try(const PCyclicMatrix& m, const std::vector<Pattern>& patterns,
-                   const Selection& sel, const FsiOptions& opts,
-                   std::vector<SelectedInversion>& results, FsiStats& stats) {
-  const char* reason = "health_gate";
-  bool ok = false;
-  try {
-    ok = fsi_mixed_attempt(m, patterns, sel, opts.coarse_parallel, results,
-                           stats);
-  } catch (const util::CheckError& e) {
-    // e.g. a block singular at fp32 that is fine at fp64.
-    reason = e.what();
-    ok = false;
-  }
-  if (ok) {
-    stats.precision_used = Precision::Mixed;
-    return true;
-  }
-  obs::metrics::add(obs::metrics::Counter::MixedFallbacks, 1);
-  FSI_LOG_WARN("fsi.mixed_fallback", {"reason", reason},
-               {"resid_max", mixed_gate().resid_max},
-               {"cond_max", mixed_gate().cond_max});
-  results.clear();
-  const index_t q = stats.q;
-  stats = FsiStats{};
-  stats.q = q;
-  stats.mixed_fallback = true;
-  stats.precision_used = Precision::Fp64;
-  return false;
+  const char* reason =
+      mixed ? mixed_gate_reason(cond1, gtilde, worst) : nullptr;
+  sched::recycle(std::move(gtilde));
+  return reason;
 }
 
 }  // namespace
@@ -569,36 +518,31 @@ std::vector<SelectedInversion> fsi_multi(const PCyclicMatrix& m,
 
   FsiStats local;
   local.q = q;
-
+  std::vector<SelectedInversion> out;
   if (opts.precision == Precision::Mixed) {
-    std::vector<SelectedInversion> out;
-    if (fsi_mixed_try(m, patterns, sel, opts, out, local)) {
+    obs::metrics::add(obs::metrics::Counter::MixedRuns, 1);
+    std::string error;
+    const char* reason = nullptr;
+    try {
+      reason = run_stages<float>(m, ops, patterns, sel, opts.coarse_parallel,
+                                 out, local);
+    } catch (const util::CheckError& e) {
+      // e.g. a block singular at fp32 that is fine at fp64.
+      error = e.what();
+      reason = error.c_str();
+    }
+    if (reason == nullptr) {
+      local.precision_used = Precision::Mixed;
       if (stats != nullptr) *stats = local;
       return out;
     }
+    count_mixed_fallback(reason);
+    out.clear();
+    local = FsiStats{};
+    local.q = q;
+    local.mixed_fallback = true;
   }
-
-  PCyclicMatrix reduced = [&] {
-    StageMeter meter("fsi.cls", local.seconds_cls, local.flops_cls);
-    return cluster(m, c, q, opts.coarse_parallel);
-  }();
-  dense::Matrix gtilde = [&] {
-    StageMeter meter("fsi.bsofi", local.seconds_bsofi, local.flops_bsofi);
-    return bsofi::invert(reduced);
-  }();
-  reduced.release_blocks();
-
-  std::vector<SelectedInversion> out;
-  out.reserve(patterns.size());
-  {
-    StageMeter meter("fsi.wrap", local.seconds_wrap, local.flops_wrap);
-    for (Pattern p : patterns)
-      out.push_back(wrap(ops, gtilde, p, sel, opts.coarse_parallel));
-  }
-  sched::recycle(std::move(gtilde));
-  for (std::size_t i = 0; i < patterns.size(); ++i)
-    residual_spot_check(m, out[i], patterns[i], sel);
-
+  run_stages<double>(m, ops, patterns, sel, opts.coarse_parallel, out, local);
   if (stats != nullptr) *stats = local;
   return out;
 }

@@ -10,9 +10,7 @@
 #include <memory>
 #include <type_traits>
 
-#include "fsi/dense/norms.hpp"
 #include "fsi/obs/health.hpp"
-#include "fsi/obs/log.hpp"
 #include "fsi/obs/metrics.hpp"
 #include "fsi/obs/trace.hpp"
 #include "fsi/qmc/dqmc.hpp"
@@ -38,6 +36,17 @@ struct SpinWork {
   pcyclic::SelectedInversion diag;              ///< filled by Wrap nodes
   SpinWork(index_t nn, const pcyclic::Selection& sel)
       : diag(pcyclic::Pattern::AllDiagonals, nn, sel) {}
+  /// The walk inputs at scalar T: fp32 for a mixed task, fp64 otherwise.
+  template <typename T>
+  const pcyclic::BasicBlockOps<T>& ops_at() const {
+    if constexpr (std::is_same_v<T, float>) return *ops_f;
+    else return *ops;
+  }
+  template <typename T>
+  const dense::BasicMatrix<T>& gtilde_at() const {
+    if constexpr (std::is_same_v<T, float>) return gtilde_f;
+    else return gtilde;
+  }
 };
 
 /// Panel p of a fused walk belongs to spin p / 2 (0 = up, 1 = down); an
@@ -73,20 +82,22 @@ struct TaskWork {
       : sel(s), heavy(h), sign(sg), up(nn, s), dn(nn, s) {}
 };
 
-/// Walk seed unit \p u's Rows and Columns panels of both spins in lockstep,
-/// the same moves as selinv::wrap_panel, and write each line's SPXX class
-/// sums and pair-susceptibility sums into tw.spxx_sums / tw.pair_sums while
-/// the panels are in cache; nothing else is stored.  fp32 panels are
-/// promoted first, so both are always summed in fp64.  \p ends, when
-/// non-null, receives the walk's first and/or last line.
+/// The fused node body: walk seed unit \p u's Rows and Columns panels of
+/// both spins in lockstep at \p T (fp32 for a mixed task, fp64 otherwise
+/// and for the gate's fallback), the same moves as selinv::wrap_panel, and
+/// write each line's SPXX class sums and pair-susceptibility sums into
+/// tw.spxx_sums / tw.pair_sums while the panels are in cache; nothing else
+/// is stored.  fp32 panels are promoted first, so both are always summed in
+/// fp64.  While tw.ends is set, the walk's first and/or last line is kept.
 template <typename T>
-void walk_and_measure(const Lattice& lat, const pcyclic::BasicBlockOps<T>* ops[2],
-                const dense::BasicMatrix<T>* gtilde[2], TaskWork& tw, index_t u,
-                WalkEnds* ends) {
+void walk_and_measure(const Lattice& lat, TaskWork& tw, index_t u) {
   FSI_OBS_SPAN("fsi.wrap_spxx");
   using View = dense::BasicConstMatrixView<T>;
+  const SpinWork* spins[2] = {&tw.up, &tw.dn};
+  WalkEnds* ends =
+      tw.ends.empty() ? nullptr : &tw.ends[static_cast<std::size_t>(u)];
   const pcyclic::Selection& sel = tw.sel;
-  const pcyclic::PCyclicMatrix& m = ops[0]->matrix();
+  const pcyclic::PCyclicMatrix& m = *tw.up.mat;
   const index_t n = lat.num_sites();
   const index_t l = sel.l_total;
   const index_t b = sel.b();
@@ -97,7 +108,7 @@ void walk_and_measure(const Lattice& lat, const pcyclic::BasicBlockOps<T>* ops[2
   const index_t down_steps = sel.c / 2;
   std::array<View, kPanels> seeds;
   for (std::size_t s = 0; s < 2; ++s) {
-    const View g = *gtilde[s];
+    const View g = spins[s]->gtilde_at<T>();
     seeds[2 * s] = g.block(0, u * n, b * n, n);
     seeds[2 * s + 1] = g.block(u * n, 0, n, b * n);
   }
@@ -110,7 +121,7 @@ void walk_and_measure(const Lattice& lat, const pcyclic::BasicBlockOps<T>* ops[2
       m, seeds, pos, up_steps, down_steps,
       [&](std::size_t p, index_t at, index_t dir, View src,
           dense::BasicMatrixView<T> dst) {
-        const pcyclic::BasicBlockOps<T>& o = *ops[p / 2];
+        const pcyclic::BasicBlockOps<T>& o = spins[p / 2]->ops_at<T>();
         if (p % 2 == 0) {
           if (dir < 0) o.left(idx, at, src, dst);
           else o.right(idx, at, src, dst);
@@ -150,22 +161,6 @@ void walk_and_measure(const Lattice& lat, const pcyclic::BasicBlockOps<T>* ops[2
         }
       });
   for (dense::Matrix& p : promoted) sched::recycle(std::move(p));
-}
-
-/// The fused node body: fp32 panels for a mixed task, fp64 otherwise (and
-/// for the gate's fallback).  Keeps the walk's ends while tw.ends is set.
-void fused_unit(const Lattice& lat, TaskWork& tw, index_t u, bool fp32) {
-  WalkEnds* ends =
-      tw.ends.empty() ? nullptr : &tw.ends[static_cast<std::size_t>(u)];
-  if (fp32) {
-    const pcyclic::BlockOpsF* ops[2] = {tw.up.ops_f.get(), tw.dn.ops_f.get()};
-    const dense::MatrixF* g[2] = {&tw.up.gtilde_f, &tw.dn.gtilde_f};
-    walk_and_measure(lat, ops, g, tw, u, ends);
-  } else {
-    const pcyclic::BlockOps* ops[2] = {tw.up.ops.get(), tw.dn.ops.get()};
-    const dense::Matrix* g[2] = {&tw.up.gtilde, &tw.dn.gtilde};
-    walk_and_measure(lat, ops, g, tw, u, ends);
-  }
 }
 
 /// Worst seam residual of one spin of a heavy task: for the first \p seams
@@ -289,16 +284,9 @@ std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
         const sched::NodeId id = graph.add_node(
             [sw, c, q, i, mixed](int) {
               FSI_OBS_SPAN("fsi.cls");
-              dense::Matrix& slot = sw->cls_blocks[static_cast<std::size_t>(i)];
-              if (mixed) {
-                dense::MatrixF prod =
-                    selinv::cluster_product_f(*sw->mat, c, q, i);
-                slot = sched::acquire(prod.rows(), prod.cols());
-                dense::promote(prod, slot.view());
-                sched::recycle(std::move(prod));
-              } else {
-                slot = selinv::cluster_product(*sw->mat, c, q, i);
-              }
+              sw->cls_blocks[static_cast<std::size_t>(i)] =
+                  mixed ? selinv::cluster_product<float>(*sw->mat, c, q, i)
+                        : selinv::cluster_product<double>(*sw->mat, c, q, i);
             },
             sched::Stage::Cls, hint);
         graph.add_edge(build, id);
@@ -309,14 +297,13 @@ std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
             FSI_OBS_SPAN("fsi.bsofi");
             pcyclic::PCyclicMatrix reduced(std::move(sw->cls_blocks));
             sw->gtilde = bsofi::invert(reduced);
-            if (mixed)
-              sw->cond1 = selinv::reduced_cond1(reduced, sw->gtilde);
-            reduced.release_blocks();
             if (mixed) {
+              sw->cond1 = selinv::reduced_cond1(reduced, sw->gtilde);
               sw->gtilde_f =
                   sched::acquire_f(sw->gtilde.rows(), sw->gtilde.cols());
               dense::demote(sw->gtilde, sw->gtilde_f.view());
             }
+            reduced.release_blocks();
           },
           sched::Stage::Bsofi, hint);
       for (sched::NodeId id : cls_nodes) graph.add_edge(id, bsofi_node);
@@ -362,7 +349,12 @@ std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
       }
       for (index_t u = 0; u < b; ++u) {
         const sched::NodeId id = graph.add_node(
-            [&lat, tw, u, mixed](int) { fused_unit(lat, *tw, u, mixed); },
+            [&lat, tw, u, mixed](int) {
+              if (mixed)
+                walk_and_measure<float>(lat, *tw, u);
+              else
+                walk_and_measure<double>(lat, *tw, u);
+            },
             sched::Stage::Wrap, hint);
         graph.add_edge(bsofi_nodes[0], id);
         graph.add_edge(bsofi_nodes[1], id);
@@ -371,9 +363,9 @@ std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
     }
 
     // Mixed tasks get a gate node between the walk fences and the
-    // measurement: check cond1, finiteness and (heavy tasks) the seam
-    // residuals of both spins against selinv::mixed_gate(); on a trip,
-    // recompute the whole task serially in fp64 in-node, so the measurement
+    // measurement: selinv::mixed_gate_reason on cond1, finiteness and
+    // (heavy tasks) the seam residuals of both spins; on a trip, recompute
+    // the whole task serially in fp64 in-node, so the measurement
     // downstream always consumes gated data.
     sched::NodeId gate_node = 0;
     if (mixed) {
@@ -382,20 +374,15 @@ std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
             FSI_OBS_SPAN("fsi.mixed_gate");
             mixed_tasks.fetch_add(1, std::memory_order_relaxed);
             obs::metrics::add(obs::metrics::Counter::MixedRuns, 1);
-            const selinv::MixedGate gate = selinv::mixed_gate();
             const char* reason = nullptr;
             for (std::size_t s = 0; s < 2 && reason == nullptr; ++s) {
               const SpinWork& sw = s == 0 ? tw->up : tw->dn;
-              if (!(sw.cond1 <= gate.cond_max)) {
-                reason = "cond1";
-              } else if (!dense::all_finite(sw.gtilde.view())) {
-                reason = "nonfinite";
-              } else if (tw->heavy) {
-                const double r =
-                    worst_seam_residual(*sw.mat, *tw, s, tw->sel.b());
-                obs::health::record_residual(r);
-                if (!(r <= gate.resid_max)) reason = "residual";
-              }
+              reason = selinv::mixed_gate_reason(sw.cond1, sw.gtilde, -1.0);
+              if (reason != nullptr || !tw->heavy) continue;
+              const double r =
+                  worst_seam_residual(*sw.mat, *tw, s, tw->sel.b());
+              obs::health::record_residual(r);
+              reason = selinv::mixed_gate_reason(sw.cond1, sw.gtilde, r);
             }
             // fp32 context is spent either way.
             for (SpinWork* s : {&tw->up, &tw->dn}) {
@@ -405,14 +392,11 @@ std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
             release_ends(*tw);
             if (reason == nullptr) return;
             mixed_fallbacks.fetch_add(1, std::memory_order_relaxed);
-            obs::metrics::add(obs::metrics::Counter::MixedFallbacks, 1);
-            FSI_LOG_WARN("qmc.mixed_fallback", {"task", t}, {"reason", reason},
-                         {"resid_max", gate.resid_max},
-                         {"cond_max", gate.cond_max});
+            selinv::count_mixed_fallback(reason, t);
             for (SpinWork* s : {&tw->up, &tw->dn}) {
               s->ops = std::make_unique<pcyclic::BlockOps>(*s->mat);
               pcyclic::PCyclicMatrix reduced =
-                  selinv::cluster(*s->mat, c, q, false);
+                  selinv::cluster<double>(*s->mat, c, q, false);
               sched::recycle(std::move(s->gtilde));
               s->gtilde = bsofi::invert(reduced);
               reduced.release_blocks();
@@ -423,7 +407,7 @@ std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
             }
             if (!tw->heavy) return;
             for (index_t u = 0; u < tw->sel.b(); ++u)
-              fused_unit(lat, *tw, u, false);
+              walk_and_measure<double>(lat, *tw, u);
           },
           sched::Stage::Measure, hint);
       for (sched::NodeId id : fences) graph.add_edge(id, gate_node);

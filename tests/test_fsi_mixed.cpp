@@ -1,8 +1,8 @@
-/// Mixed-precision pipeline tests: the fp32 building blocks against their
-/// fp64 twins (BlockOpsF moves, cluster products), the health gate's
-/// accept/fallback behaviour, end-to-end mixed-vs-fp64 accuracy through
-/// both the single-call driver and the batched graph engine, and the
-/// precision plumbing helpers.
+/// Mixed-precision pipeline tests: the fp32 building blocks against fp64
+/// (BlockOpsF moves, the CLS and WRP templates at both scalars), the health
+/// gate's verdict and accept/fallback behaviour, end-to-end mixed-vs-fp64
+/// accuracy through both the single-call driver and the batched graph
+/// engine, and the precision plumbing helpers.
 
 #include <gtest/gtest.h>
 
@@ -110,22 +110,55 @@ TEST(WrapPanelF, EveryPatternMatchesFp64Walk) {
 }
 
 TEST(ClusterMixed, ProductsAndReducedMatrixMatchFp64) {
+  // The one CLS template at both scalars: fp32 chains (promoted on
+  // completion) against the fp64 chains on the same matrix.
   const index_t n = 6, l = 12, c = 3, q = 1;
   pcyclic::PCyclicMatrix m = hubbard_matrix(n, l, 2.0, 1.0, 0xC1);
 
   const index_t b = l / c;
   for (index_t i = 0; i < b; ++i) {
-    MatrixF prod_f = selinv::cluster_product_f(m, c, q, i);
-    Matrix prod = selinv::cluster_product(m, c, q, i);
-    expect_close(dense::promoted(prod_f.view()), prod, kFloatTol,
-                 "cluster product");
+    const Matrix prod_f = selinv::cluster_product<float>(m, c, q, i);
+    const Matrix prod = selinv::cluster_product<double>(m, c, q, i);
+    expect_close(prod_f, prod, kFloatTol, "cluster product");
   }
 
-  pcyclic::PCyclicMatrix red_mixed = selinv::cluster_mixed(m, c, q);
-  pcyclic::PCyclicMatrix red = selinv::cluster(m, c, q);
+  pcyclic::PCyclicMatrix red_mixed = selinv::cluster<float>(m, c, q);
+  pcyclic::PCyclicMatrix red = selinv::cluster<double>(m, c, q);
   ASSERT_EQ(red_mixed.num_blocks(), red.num_blocks());
   for (index_t i = 0; i < red.num_blocks(); ++i)
     expect_close(red_mixed.b(i), red.b(i), kFloatTol, "reduced block");
+}
+
+TEST(MixedGateVerdict, PassAndEveryTripReason) {
+  GateGuard guard;
+  selinv::set_mixed_gate({1e-3, 1e8});
+  const double nan = std::nan("");
+  Matrix g = Matrix::identity(3);
+
+  // Pass: within both bounds (the bounds themselves pass), or no residual
+  // probed (negative).
+  EXPECT_EQ(selinv::mixed_gate_reason(10.0, g, 1e-6), nullptr);
+  EXPECT_EQ(selinv::mixed_gate_reason(1e8, g, 1e-3), nullptr);
+  EXPECT_EQ(selinv::mixed_gate_reason(10.0, g, -1.0), nullptr);
+
+  // Each trip, NaN included.
+  EXPECT_STREQ(selinv::mixed_gate_reason(1e9, g, 1e-6), "cond1");
+  EXPECT_STREQ(selinv::mixed_gate_reason(nan, g, 1e-6), "cond1");
+  EXPECT_STREQ(selinv::mixed_gate_reason(10.0, g, 2e-3), "residual");
+  EXPECT_STREQ(selinv::mixed_gate_reason(10.0, g, nan), "residual");
+  Matrix bad = Matrix::identity(3);
+  bad(1, 2) = nan;
+  EXPECT_STREQ(selinv::mixed_gate_reason(10.0, bad, 1e-6), "nonfinite");
+  bad(1, 2) = HUGE_VAL;
+  EXPECT_STREQ(selinv::mixed_gate_reason(10.0, bad, -1.0), "nonfinite");
+
+  // Checked in the order cond1, nonfinite, residual.
+  EXPECT_STREQ(selinv::mixed_gate_reason(1e9, bad, nan), "cond1");
+  EXPECT_STREQ(selinv::mixed_gate_reason(10.0, bad, nan), "nonfinite");
+
+  // The verdict reads the process-wide gate.
+  selinv::set_mixed_gate({0.0, 1e300});
+  EXPECT_STREQ(selinv::mixed_gate_reason(1e9, g, 1e-12), "residual");
 }
 
 TEST(MixedGateHelpers, Cond1AndResidualProbeAreSane) {
